@@ -22,14 +22,16 @@
 
 use std::time::Instant;
 
+use sbst_bench::merge_bench_json;
 use sbst_campaign::tables::Effort;
 use sbst_campaign::{
-    routines_for, run_campaign_detailed, run_campaign_ppsfp_telemetry,
-    run_campaign_warm_detailed, run_campaign_warm_telemetry, ExecStyle, Experiment,
+    routines_for, run_campaign_detailed, run_campaign_graded_telemetry,
+    run_campaign_ppsfp_telemetry, run_campaign_warm_detailed, ExecStyle, Experiment,
+    WarmExperimentGrader,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::{collapse, Unit};
-use sbst_obs::{parse_json, Json};
+use sbst_obs::Json;
 use sbst_soc::Scenario;
 
 /// The warm-path standard-tier throughput recorded in
@@ -135,9 +137,17 @@ fn main() {
 
     // One untimed telemetry pass for the observability fields: verdict
     // mix, warm-start hit rate, and periodic progress snapshots.
-    let (telemetry_result, _, telemetry) =
-        run_campaign_warm_telemetry(&exp, &golden, &faults, effort.threads);
+    let grader = WarmExperimentGrader { experiment: &exp, golden: &golden, snapshot: &snapshot };
+    let (telemetry_result, _, mut telemetry) =
+        run_campaign_graded_telemetry(&grader, &faults, effort.threads);
     assert_eq!(telemetry_result, cold_result, "telemetry pass changed verdicts");
+    // Every fault but a hang short-circuits on the warm path's
+    // early-verdict exit; a hang runs out its whole tail budget.
+    telemetry.warm_hit_rate = Some(if cold_result.total == 0 {
+        0.0
+    } else {
+        1.0 - cold_result.hang as f64 / cold_result.total as f64
+    });
     println!("telemetry: {telemetry}");
 
     let pass = |t: &Timed| {
@@ -146,7 +156,10 @@ fn main() {
             ("faults_per_sec".into(), Json::Num(round2(t.faults_per_sec))),
         ])
     };
-    let doc = Json::Obj(vec![
+    // This bench owns the top-level campaign fields; the sections other
+    // benches (chaos_sweep, fleet_campaign, certify) merged into the
+    // same file are carried over.
+    merge_bench_json(vec![
         ("bench".into(), Json::Str("campaign_throughput".into())),
         ("mode".into(), Json::Str(mode.clone())),
         ("unit".into(), Json::Str("forwarding".into())),
@@ -184,25 +197,6 @@ fn main() {
             Json::Arr(telemetry.progress.iter().map(|s| s.to_json()).collect()),
         ),
     ]);
-    // This bench owns the top-level campaign fields but other benches
-    // (chaos_sweep, fleet_campaign, certify) merge their sections into
-    // the same file — carry those over instead of wiping them.
-    let mut doc = doc;
-    if let Ok(Json::Obj(old)) =
-        std::fs::read_to_string("BENCH_campaign.json").map(|t| {
-            parse_json(&t).unwrap_or(Json::Obj(Vec::new()))
-        })
-    {
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in old {
-                if !fields.iter().any(|(k, _)| *k == key) {
-                    fields.push((key, value));
-                }
-            }
-        }
-    }
-    std::fs::write("BENCH_campaign.json", doc.render_pretty(2))
-        .expect("write BENCH_campaign.json");
     println!("wrote BENCH_campaign.json");
 
     if mode == "standard" || mode == "full" {

@@ -26,9 +26,10 @@
 //! report at `out/certify_report.json`, and telemetry totals merged
 //! into `BENCH_campaign.json` under `"certify"`.
 
+use sbst_bench::merge_bench_json;
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::{ArbiterKind, InjectorProgram};
-use sbst_obs::{parse_json, Json, PortBound};
+use sbst_obs::{Json, PortBound};
 use sbst_soc::{ChaosConfig, ObsConfig, SocBuilder};
 use sbst_stl::routines::{ForwardingTest, IcuTest, RegFileTest};
 use sbst_stl::{
@@ -284,13 +285,8 @@ fn main() {
     println!("wrote out/certify_report.json ({} scenarios)", results.len());
 
     // Merge totals into BENCH_campaign.json, preserving other keys.
-    let mut doc = std::fs::read_to_string("BENCH_campaign.json")
-        .ok()
-        .and_then(|text| parse_json(&text).ok())
-        .filter(|d| matches!(d, Json::Obj(_)))
-        .unwrap_or(Json::Obj(Vec::new()));
-    doc.set(
-        "certify",
+    merge_bench_json(vec![(
+        "certify".into(),
         Json::Obj(vec![
             ("scenarios".into(), Json::int(results.len() as u64)),
             ("violations".into(), Json::int(violations as u64)),
@@ -298,9 +294,7 @@ fn main() {
             ("fixed_priority_flagged".into(), Json::Bool(fp_flagged)),
             ("seed".into(), Json::int(seed)),
         ]),
-    );
-    std::fs::write("BENCH_campaign.json", doc.render_pretty(2))
-        .expect("write BENCH_campaign.json");
+    )]);
     println!("merged certify telemetry into BENCH_campaign.json");
 
     assert!(fp_flagged, "fixed-priority low-priority ports must be flagged unbounded");

@@ -29,6 +29,7 @@ use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+use sbst_bench::merge_bench_json;
 use sbst_campaign::fleet::{
     assemble_ecu, execute_shard_standalone, run_fleet, run_fleet_process, run_fleet_serial,
     ChaosAction, EcuSpec, FleetConfig, FleetGrader, FleetPlan, FleetReport, ForcedFailure,
@@ -157,19 +158,6 @@ fn write_dashboard(report: &FleetReport, path: &str) {
     out.push('\n');
     std::fs::write(path, out).expect("write fleet dashboard");
     println!("wrote {path} ({} events)", report.events.len());
-}
-
-fn merge_bench_json(fleet: Json) {
-    let path = "BENCH_campaign.json";
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| sbst_obs::parse_json(&t).ok())
-        .unwrap_or_else(|| {
-            Json::Obj(vec![("bench".into(), Json::Str("campaign_throughput".into()))])
-        });
-    doc.set("fleet", fleet);
-    std::fs::write(path, doc.render_pretty(2)).expect("write BENCH_campaign.json");
-    println!("merged fleet stats into {path}");
 }
 
 fn round2(v: f64) -> f64 {
@@ -321,7 +309,7 @@ fn main() {
     assert!(pt.counters.retries >= 2, "dead/corrupt children must be retried");
     println!("processes: {pt}");
 
-    merge_bench_json(Json::Obj(vec![
+    let fleet = Json::Obj(vec![
         ("mode".into(), Json::Str(mode.clone())),
         ("ecus".into(), Json::int(plan.ecus.len() as u64)),
         ("faults".into(), Json::int(plan.total_faults() as u64)),
@@ -332,7 +320,9 @@ fn main() {
         ("faults_per_sec".into(), Json::Num(round2(calm.telemetry.faults_per_sec))),
         ("chaos".into(), t.to_json()),
         ("process_pool".into(), pt.to_json()),
-    ]));
+    ]);
+    merge_bench_json(vec![("fleet".into(), fleet)]);
+    println!("merged fleet stats into BENCH_campaign.json");
     println!("fleet_campaign [{mode}]: OK");
 }
 

@@ -42,9 +42,7 @@ use std::sync::Mutex;
 use sbst_fault::{FaultList, FaultSite, Verdict};
 
 use crate::experiment::ExperimentConfig;
-use crate::faultsim::{
-    grade_pending, CampaignError, CampaignResult, ExperimentGrader, FaultGrader,
-};
+use crate::faultsim::{grade, CampaignError, CampaignResult, ExperimentGrader, FaultGrader};
 use crate::{Experiment, Observation};
 
 /// Current checkpoint file format version.
@@ -490,63 +488,37 @@ pub fn resume_campaign_graded(
     };
     let restored = checkpoint.completed();
 
-    // Cap this slice: pre-fill the slots we are *not* allowed to touch
-    // with a sentinel so the engine skips them, then blank them again
-    // before reporting.
-    let mut masked = Vec::new();
-    if let Some(max_new) = cfg.max_new {
-        let mut allowed = max_new;
-        for (i, v) in checkpoint.verdicts.iter_mut().enumerate() {
-            if v.is_none() {
-                if allowed == 0 {
-                    *v = Some(Verdict::SimError); // placeholder, blanked below
-                    masked.push(i);
-                } else {
-                    allowed -= 1;
-                }
-            }
-        }
-    }
-
     let every = cfg.every.max(1);
-    let pending = Mutex::new(std::mem::take(&mut checkpoint.verdicts));
-    let errors = Mutex::new(Vec::new());
-    let save_state = Mutex::new((restored + masked.len(), cfg.path.clone(), fp));
-    let masked_ref = &masked;
-    grade_pending(grader, faults.sites(), &pending, &errors, threads, &|slots| {
-        let mut state = save_state.lock().expect("save state");
-        let done = slots.iter().filter(|v| v.is_some()).count();
-        if done >= state.0 + every {
-            state.0 = done;
-            let mut snapshot =
-                Checkpoint { fingerprint: state.2, config: cfg.config, verdicts: slots.to_vec() };
-            for &i in masked_ref {
-                snapshot.verdicts[i] = None;
+    // Highest done-count persisted so far (monotonic: snapshots can
+    // arrive out of order).
+    let saved = Mutex::new(restored);
+    let graded = grade(
+        &|site| grader.grade(site),
+        faults.sites(),
+        std::mem::take(&mut checkpoint.verdicts),
+        cfg.max_new.unwrap_or(usize::MAX),
+        threads,
+        &|slots| {
+            let mut saved = saved.lock().expect("save state");
+            let done = slots.iter().filter(|v| v.is_some()).count();
+            if done >= *saved + every {
+                *saved = done;
+                let snapshot =
+                    Checkpoint { fingerprint: fp, config: cfg.config, verdicts: slots.to_vec() };
+                // Persist best-effort: a failed write must not kill workers.
+                let _ = snapshot.save(&cfg.path);
             }
-            // Persist best-effort: a failed write must not kill workers.
-            let _ = snapshot.save(&state.1);
-        }
-    });
+        },
+    );
 
-    checkpoint.verdicts = pending.into_inner().expect("verdict slots");
-    for &i in &masked {
-        checkpoint.verdicts[i] = None;
-    }
+    checkpoint.verdicts = graded.slots;
     checkpoint.save(&cfg.path)?;
-
-    let records: Vec<(FaultSite, Verdict)> = faults
-        .sites()
-        .iter()
-        .zip(&checkpoint.verdicts)
-        .filter_map(|(&s, v)| v.map(|v| (s, v)))
-        .collect();
-    let newly_graded = checkpoint.completed() - restored;
     Ok(ResumableOutcome {
-        result: CampaignResult::from_records(&records),
+        result: graded.result,
+        records: graded.records,
+        errors: graded.errors,
         complete: checkpoint.is_complete(),
-        records,
-        errors: errors.into_inner().expect("error log"),
-        newly_graded,
+        newly_graded: checkpoint.completed() - restored,
     })
 }
 

@@ -1,6 +1,7 @@
 //! One experiment: a routine, a core under test, a scenario, and the
 //! machinery to run it fault-free or with one armed fault.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use sbst_cpu::{CoreConfig, CoreKind};
@@ -8,7 +9,7 @@ use sbst_mem::CacheConfig;
 use sbst_fault::{FaultPlane, FaultSite, Verdict};
 use sbst_isa::AsmError;
 use sbst_mem::{FlashImage, SRAM_BASE};
-use sbst_soc::{RunOutcome, Scenario, Soc, SocBuilder};
+use sbst_soc::{RunOutcome, Scenario, Soc, SocBuilder, StopAt};
 use sbst_stl::routines::GenericAluTest;
 use sbst_stl::{
     wrap_cached, wrap_sequence, RoutineEnv, SelfTestRoutine, WrapConfig, WrapError,
@@ -430,25 +431,21 @@ impl Experiment {
     /// - the golden-calibrated [`Snapshot::budget`] expiring (or the
     ///   software watchdog biting) decides [`Verdict::Hang`].
     pub fn run_warm(&self, snapshot: &Snapshot, plane: FaultPlane) -> Observation {
+        self.run_tail(snapshot, plane, |_| ControlFlow::Continue(()))
+    }
+
+    /// [`run_warm`](Experiment::run_warm) with a per-step `hook` (see
+    /// [`Soc::run_until`]) — how the PPSFP fallback adds its livelock
+    /// short-circuit to the warm path.
+    pub(crate) fn run_tail(
+        &self,
+        snapshot: &Snapshot,
+        plane: FaultPlane,
+        hook: impl FnMut(&mut Soc) -> ControlFlow<RunOutcome>,
+    ) -> Observation {
         let mut soc = snapshot.soc.clone();
         soc.core_mut(0).set_plane(plane);
-        let outcome = loop {
-            if soc.cycle() >= snapshot.budget {
-                break RunOutcome::Watchdog { cycles: soc.cycle() };
-            }
-            soc.step();
-            if let Some(core) =
-                (0..soc.core_count()).find(|&i| soc.core(i).fatal_trap())
-            {
-                break RunOutcome::FatalTrap { core, cycles: soc.cycle() };
-            }
-            if soc.core(0).halted() {
-                break RunOutcome::AllHalted { cycles: soc.cycle() };
-            }
-            if soc.bus().watchdog().bitten() {
-                break RunOutcome::Watchdog { cycles: soc.cycle() };
-            }
-        };
+        let outcome = soc.run_until(snapshot.budget, StopAt::CoreHalted(0), hook);
         self.observe(&soc, outcome)
     }
 

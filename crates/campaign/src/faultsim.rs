@@ -9,11 +9,13 @@
 //! unaffected. Worker-thread join failures are aggregated the same way
 //! instead of being `expect`ed.
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sbst_fault::{FaultList, FaultSite, Verdict};
+use sbst_fault::{FaultList, FaultPlane, FaultSite, Verdict};
+use sbst_soc::{RunOutcome, Soc};
 
 use crate::experiment::{Experiment, Observation, Snapshot};
 
@@ -53,9 +55,22 @@ pub struct WarmExperimentGrader<'a> {
     pub snapshot: &'a Snapshot,
 }
 
+impl WarmExperimentGrader<'_> {
+    /// Grades `site` on the warm path with a per-step `hook` on the
+    /// tail run (see [`Soc::run_until`]).
+    pub(crate) fn grade_with(
+        &self,
+        site: FaultSite,
+        hook: impl FnMut(&mut Soc) -> ControlFlow<RunOutcome>,
+    ) -> Verdict {
+        let faulty = self.experiment.run_tail(self.snapshot, FaultPlane::armed(site), hook);
+        Experiment::classify(self.golden, &faulty)
+    }
+}
+
 impl FaultGrader for WarmExperimentGrader<'_> {
     fn grade(&self, site: FaultSite) -> Verdict {
-        self.experiment.test_fault_warm(self.golden, self.snapshot, site)
+        self.grade_with(site, |_| ControlFlow::Continue(()))
     }
 }
 
@@ -128,16 +143,18 @@ impl CampaignResult {
         100.0 * self.detected() as f64 / self.total as f64
     }
 
-    pub(crate) fn record(&mut self, verdict: Verdict) {
-        self.total += 1;
-        match verdict {
-            Verdict::WrongSignature => self.wrong_signature += 1,
-            Verdict::TestFail => self.test_fail += 1,
-            Verdict::UnexpectedTrap => self.unexpected_trap += 1,
-            Verdict::Hang => self.hang += 1,
-            Verdict::Undetected => self.undetected += 1,
-            Verdict::SimError => self.sim_errors += 1,
-        }
+    /// Counts `weight` faults graded `verdict` (a collapsed class
+    /// counts once per member).
+    pub(crate) fn record(&mut self, verdict: Verdict, weight: usize) {
+        self.total += weight;
+        *match verdict {
+            Verdict::WrongSignature => &mut self.wrong_signature,
+            Verdict::TestFail => &mut self.test_fail,
+            Verdict::UnexpectedTrap => &mut self.unexpected_trap,
+            Verdict::Hang => &mut self.hang,
+            Verdict::Undetected => &mut self.undetected,
+            Verdict::SimError => &mut self.sim_errors,
+        } += weight;
     }
 
     /// The verdict distribution in the observability layer's type.
@@ -156,7 +173,7 @@ impl CampaignResult {
     pub fn from_records(records: &[(FaultSite, Verdict)]) -> CampaignResult {
         let mut result = CampaignResult::default();
         for &(_, v) in records {
-            result.record(v);
+            result.record(v, 1);
         }
         result
     }
@@ -191,50 +208,54 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The core engine: grades `sites[i]` for every `i` where `pending`
-/// holds `None`, writing verdicts in place and appending crash reports
-/// to `errors`. Panics inside `grader.grade` become
-/// [`Verdict::SimError`]; worker join failures become site-less
-/// [`CampaignError`]s. `on_done` receives a snapshot of the slots
-/// cloned under the lock that published the verdict — a consistent
-/// state of the campaign at some publication point — but runs *outside*
-/// it, so a slow observer (checkpoint serialization, file I/O) never
-/// serializes the grading workers. Observers must therefore tolerate
-/// snapshots arriving out of order: two workers can publish a, then b,
-/// yet deliver b's snapshot first (the checkpoint writer handles this
-/// with a monotonic done-count guard).
-pub(crate) fn grade_pending(
-    grader: &dyn FaultGrader,
+/// What one pass of the grading core produced.
+pub(crate) struct Graded {
+    /// Every verdict slot after the pass (`None` = still ungraded).
+    pub slots: Vec<Option<Verdict>>,
+    /// The graded slots as per-fault records, in fault-list order.
+    pub records: Vec<(FaultSite, Verdict)>,
+    /// The aggregate of `records`.
+    pub result: CampaignResult,
+    /// Simulation crashes recorded during the pass.
+    pub errors: Vec<CampaignError>,
+}
+
+/// The grading core every campaign entry point runs through. Grades
+/// `sites[i]` with `grade` for the first `limit` indices whose slot is
+/// `None`, over `threads` workers (0 = available parallelism), and
+/// turns the slots into records and a [`CampaignResult`].
+///
+/// A panic inside `grade` becomes [`Verdict::SimError`]; a worker join
+/// failure becomes a site-less [`CampaignError`]. `on_done` receives a
+/// copy of the slots taken under the lock that published a verdict — a
+/// consistent state of the campaign at some publication point — but
+/// runs *outside* it, so a slow observer (checkpoint serialization,
+/// file I/O) never serializes the grading workers. Observers must
+/// therefore tolerate snapshots arriving out of order: two workers can
+/// publish a, then b, yet deliver b's snapshot first (the checkpoint
+/// writer handles this with a monotonic done-count guard).
+pub(crate) fn grade(
+    grade: &(dyn Fn(FaultSite) -> Verdict + Sync),
     sites: &[FaultSite],
-    pending: &Mutex<Vec<Option<Verdict>>>,
-    errors: &Mutex<Vec<CampaignError>>,
+    slots: Vec<Option<Verdict>>,
+    limit: usize,
     threads: usize,
     on_done: &(dyn Fn(&[Option<Verdict>]) + Sync),
-) {
-    let todo: Vec<usize> = {
-        let slots = pending.lock().expect("verdict slots");
-        assert_eq!(slots.len(), sites.len(), "slot/site length mismatch");
-        slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.is_none().then_some(i))
-            .collect()
-    };
-    if todo.is_empty() {
-        return;
-    }
+) -> Graded {
+    assert_eq!(slots.len(), sites.len(), "slot/site length mismatch");
+    let todo: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).take(limit).collect();
+    let slots = Mutex::new(slots);
+    let errors = Mutex::new(Vec::new());
     let next = AtomicUsize::new(0);
     let threads = resolve_threads(threads).min(todo.len());
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
-            let next = &next;
-            let todo = &todo;
-            handles.push(scope.spawn(move || loop {
+            handles.push(scope.spawn(|| loop {
                 let t = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&i) = todo.get(t) else { break };
                 let site = sites[i];
-                let verdict = match catch_unwind(AssertUnwindSafe(|| grader.grade(site))) {
+                let verdict = match catch_unwind(AssertUnwindSafe(|| grade(site))) {
                     Ok(v) => v,
                     Err(payload) => {
                         errors.lock().expect("error log").push(CampaignError {
@@ -246,7 +267,7 @@ pub(crate) fn grade_pending(
                     }
                 };
                 let snapshot = {
-                    let mut slots = pending.lock().expect("verdict slots");
+                    let mut slots = slots.lock().expect("verdict slots");
                     slots[i] = Some(verdict);
                     slots.clone()
                 };
@@ -266,6 +287,15 @@ pub(crate) fn grade_pending(
             }
         }
     });
+    let slots = slots.into_inner().expect("verdict slots");
+    let records: Vec<(FaultSite, Verdict)> =
+        sites.iter().zip(&slots).filter_map(|(&s, v)| v.map(|v| (s, v))).collect();
+    Graded {
+        result: CampaignResult::from_records(&records),
+        records,
+        slots,
+        errors: errors.into_inner().expect("error log"),
+    }
 }
 
 /// Detailed campaign against any [`FaultGrader`]: per-fault verdicts in
@@ -276,19 +306,9 @@ pub fn run_campaign_graded(
     threads: usize,
 ) -> (CampaignResult, Vec<(FaultSite, Verdict)>, Vec<CampaignError>) {
     let sites = faults.sites();
-    let pending = Mutex::new(vec![None::<Verdict>; sites.len()]);
-    let errors = Mutex::new(Vec::new());
-    grade_pending(grader, sites, &pending, &errors, threads, &|_| {});
-    let records: Vec<(FaultSite, Verdict)> = sites
-        .iter()
-        .zip(pending.into_inner().expect("verdict slots"))
-        .map(|(&s, v)| (s, v.expect("every fault graded")))
-        .collect();
-    (
-        CampaignResult::from_records(&records),
-        records,
-        errors.into_inner().expect("error log"),
-    )
+    let slots = vec![None; sites.len()];
+    let graded = grade(&|site| grader.grade(site), sites, slots, usize::MAX, threads, &|_| {});
+    (graded.result, graded.records, graded.errors)
 }
 
 /// Fault-simulates every fault of `faults` against `experiment`,
@@ -320,22 +340,12 @@ pub fn run_campaign_detailed(
     (result, records)
 }
 
-/// [`run_campaign`] through the warm-start fast path: the golden-prefix
-/// snapshot is captured once, then every fault clones it and simulates
-/// only the tail with early-verdict exit. Verdict-equivalent to the
-/// cold path (asserted over full collapsed fault lists by the
-/// warm-start test suite), several times faster on hang-heavy lists.
-pub fn run_campaign_warm(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_warm_detailed(experiment, golden, faults, threads).0
-}
-
-/// Like [`run_campaign_warm`] but returns the per-fault verdicts (in
-/// fault-list order) alongside the aggregate.
+/// [`run_campaign_detailed`] through the warm-start fast path: the
+/// golden-prefix snapshot is captured once, then every fault clones it
+/// and simulates only the tail with early-verdict exit. Verdict-
+/// equivalent to the cold path (asserted over full collapsed fault
+/// lists by the warm-start test suite), several times faster on
+/// hang-heavy lists.
 pub fn run_campaign_warm_detailed(
     experiment: &Experiment,
     golden: &Observation,
@@ -408,17 +418,8 @@ pub fn run_campaign_collapsed(
     let (_, records) =
         run_campaign_detailed(experiment, golden, collapsed.representatives(), threads);
     let mut result = CampaignResult::default();
-    for (i, (_, verdict)) in records.iter().enumerate() {
-        let n = collapsed.class_size(i);
-        result.total += n;
-        match verdict {
-            Verdict::WrongSignature => result.wrong_signature += n,
-            Verdict::TestFail => result.test_fail += n,
-            Verdict::UnexpectedTrap => result.unexpected_trap += n,
-            Verdict::Hang => result.hang += n,
-            Verdict::Undetected => result.undetected += n,
-            Verdict::SimError => result.sim_errors += n,
-        }
+    for (i, &(_, verdict)) in records.iter().enumerate() {
+        result.record(verdict, collapsed.class_size(i));
     }
     result
 }

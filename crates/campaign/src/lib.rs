@@ -9,11 +9,29 @@
 //! * [`Experiment`] — one (routine, core-under-test, execution style,
 //!   scenario) configuration, including the parallel execution of the
 //!   same routine on the other cores;
-//! * [`run_campaign`] — grades a [`FaultList`](sbst_fault::FaultList)
-//!   against an experiment, one full-SoC simulation per fault, fanned
-//!   out over worker threads;
+//! * nine campaign entry points that grade a
+//!   [`FaultList`](sbst_fault::FaultList) against an experiment over
+//!   worker threads, all through one grading core:
+//!   - [`run_campaign`] / [`run_campaign_detailed`] — cold, one
+//!     full-SoC simulation per fault from reset (the test oracle);
+//!   - [`run_campaign_collapsed`] — cold over collapsed classes,
+//!     counted per class member;
+//!   - [`run_campaign_warm_detailed`] — warm start from the
+//!     golden-prefix [`Snapshot`];
+//!   - [`run_campaign_ppsfp_telemetry`] — bit-parallel fault words on
+//!     one golden ride, warm fallback with a livelock short-circuit;
+//!   - [`run_campaign_graded`] / [`run_campaign_graded_telemetry`] —
+//!     any [`FaultGrader`], optionally with progress telemetry;
+//!   - [`resume_campaign`] / [`resume_campaign_graded`] — checkpointed
+//!     and resumable;
 //! * [`tables`] — regenerates the paper's Tables I–IV with configurable
 //!   [`Effort`](tables::Effort).
+//!
+//! Every simulation the engines run goes through the SoC's one
+//! step/stop loop, [`Soc::run_until`](sbst_soc::Soc::run_until): the
+//! cold path stops when all cores halt, the warm tail, the PPSFP ride
+//! and its fallback when the core under test halts, and the ride's tap
+//! harvest and the fallback's livelock check are per-step hooks.
 //!
 //! ## Example: grade a few ICU faults
 //!
@@ -57,15 +75,11 @@ pub use experiment::{
 };
 pub use faultsim::{
     run_campaign, run_campaign_collapsed, run_campaign_detailed, run_campaign_graded,
-    run_campaign_warm, run_campaign_warm_detailed, summarize_by_category, CampaignError,
-    CampaignResult, ExperimentGrader, FaultGrader, WarmExperimentGrader,
+    run_campaign_warm_detailed, summarize_by_category, CampaignError, CampaignResult,
+    ExperimentGrader, FaultGrader, WarmExperimentGrader,
 };
-pub use ppsfp::{
-    run_campaign_ppsfp, run_campaign_ppsfp_detailed, run_campaign_ppsfp_telemetry, PpsfpStats,
-};
-pub use telemetry::{
-    run_campaign_graded_telemetry, run_campaign_telemetry, run_campaign_warm_telemetry,
-};
+pub use ppsfp::run_campaign_ppsfp_telemetry;
+pub use telemetry::run_campaign_graded_telemetry;
 
 use sbst_cpu::CoreKind;
 use sbst_fault::Unit;

@@ -48,6 +48,7 @@
 //! `tests/ppsfp_equivalence.rs`.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,16 +59,17 @@ use sbst_cpu::{
     WB_SRC_ALU, WB_SRC_CSR, WB_SRC_MEM,
 };
 use sbst_fault::{
-    pack_density, pack_fault_words, Element, FaultList, FaultPlane, FaultSite, FaultWord,
-    Polarity, Unit, Verdict,
+    pack_density, pack_fault_words, Element, FaultList, FaultSite, FaultWord, Polarity, Unit,
+    Verdict,
 };
 use sbst_isa::{Csr, Instr};
 use sbst_mem::{ArbiterKind, BusOp, Region, ReqKind};
-use sbst_soc::{RunOutcome, Soc};
+use sbst_obs::PpsfpTelemetry;
+use sbst_soc::{RunOutcome, Soc, StopAt};
 use sbst_stl::{RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE};
 
 use crate::experiment::{Experiment, Observation, Snapshot};
-use crate::faultsim::{grade_pending, CampaignResult, FaultGrader};
+use crate::faultsim::{grade, CampaignResult, WarmExperimentGrader};
 
 /// Bus master port of the core under test's data side (its
 /// instruction-fetch side is port 0; foreign cores are ports 2+).
@@ -75,28 +77,6 @@ const CUT_DATA_PORT: usize = 1;
 
 /// Initial Brent window (cycles an anchor is held before re-anchoring).
 const LOOP_WINDOW: u64 = 64;
-
-/// PPSFP campaign statistics: how the fault list split between the
-/// bit-parallel ride and the serial fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PpsfpStats {
-    /// Packed fault words formed from the list (all units).
-    pub words: usize,
-    /// Words graded on the bit-parallel ride (forwarding-unit words).
-    pub ridden_words: usize,
-    /// Faults packed into ridden words (before any lane fell off).
-    pub packed_faults: usize,
-    /// Mean lane occupancy of the packing (fraction of 64).
-    pub pack_density: f64,
-    /// Faults graded by the serial fallback (fallen-off lanes plus
-    /// whole-word fallbacks for HDCU/ICU words).
-    pub fallback_faults: usize,
-    /// `fallback_faults` over the list size (0 for an empty list).
-    pub fallback_rate: f64,
-    /// Serial fallback runs decided early by the verified-livelock
-    /// short-circuit instead of exhausting the tail budget.
-    pub loop_short_circuits: usize,
-}
 
 // ---------------------------------------------------------------------
 // Ride trace: one tapped golden tail run, recorded once per campaign.
@@ -123,6 +103,11 @@ struct RideTrace {
     delay_seed: [u64; 6],
 }
 
+/// Drains the core and bus taps: the events of the step just simulated.
+fn harvest(soc: &mut Soc) -> RideStep {
+    RideStep { events: soc.core_mut(0).take_tap_events(), ops: soc.bus_mut().take_ops() }
+}
+
 /// Runs the golden tail once with the core and bus taps enabled.
 /// Returns `None` if the golden tail fails to halt cleanly (defensive —
 /// the experiment asserts a clean golden run at assembly).
@@ -131,24 +116,15 @@ fn record_ride(experiment: &Experiment, snapshot: &Snapshot) -> Option<RideTrace
     soc.core_mut(0).set_tap(true);
     soc.bus_mut().record_ops(true);
     let mut steps = Vec::new();
-    loop {
-        if soc.cycle() >= snapshot.budget() {
-            return None;
-        }
-        soc.step();
-        let events = soc.core_mut(0).take_tap_events();
-        let ops = soc.bus_mut().take_ops();
-        steps.push(RideStep { events, ops });
-        if (0..soc.core_count()).any(|i| soc.core(i).fatal_trap()) {
-            return None;
-        }
-        if soc.core(0).halted() {
-            break;
-        }
-        if soc.bus().watchdog().bitten() {
-            return None;
-        }
+    let outcome = soc.run_until(snapshot.budget(), StopAt::CoreHalted(0), |soc| {
+        steps.push(harvest(soc));
+        ControlFlow::Continue(())
+    });
+    if !outcome.is_clean() {
+        return None;
     }
+    // The halting step ends the run before the hook sees it.
+    steps.push(harvest(&mut soc));
     let mailboxes = experiment
         .mailboxes()
         .iter()
@@ -692,112 +668,82 @@ fn verify_loop(soc: &Soc, period: u64) -> LoopProbe {
     }
 }
 
-/// [`Experiment::run_warm`] plus the livelock short-circuit: once past
-/// the golden cycle count, a Brent-style doubling anchor watches for
-/// exact state repetition; a verified loop is classified as the
-/// watchdog outcome immediately (verdict-identical — a looping run can
-/// only ever end by budget exhaustion or watchdog bite, both `Hang`).
-pub(crate) fn run_warm_loopcheck(
-    experiment: &Experiment,
-    snapshot: &Snapshot,
+/// The livelock short-circuit, run as the per-step hook of a warm tail
+/// (see [`Soc::run_until`]): once past the golden cycle count, a
+/// Brent-style doubling anchor watches for exact state repetition; a
+/// verified loop ends the run with the watchdog outcome immediately
+/// (verdict-identical — a looping run can only ever end by budget
+/// exhaustion or watchdog bite, both `Hang`).
+struct Livelock<'a> {
+    /// Off for good once the loop body proved tainted — and from the
+    /// start under TDMA, whose slotting depends on the absolute cycle
+    /// (excluded from the state comparison), or a chaos plane, whose
+    /// nondeterministic state lies outside it. Both disable detection,
+    /// never correctness.
+    detect: bool,
     golden_cycles: u64,
-    plane: FaultPlane,
-    loop_hits: &AtomicUsize,
-) -> Observation {
-    let mut soc = snapshot.soc().clone();
-    soc.core_mut(0).set_plane(plane);
-    // TDMA slotting depends on the absolute cycle (excluded from the
-    // state comparison) and chaos planes are nondeterministic state
-    // outside it: both disable detection, never correctness.
-    let mut detect = !matches!(soc.bus().arbiter_kind(), ArbiterKind::Tdma { .. })
-        && !soc.has_chaos();
-    let mut anchor: Option<Soc> = None;
-    let mut anchor_cycle = 0u64;
-    let mut window = LOOP_WINDOW;
-    let outcome = loop {
-        if soc.cycle() >= snapshot.budget() {
-            break RunOutcome::Watchdog { cycles: soc.cycle() };
+    budget: u64,
+    anchor: Option<Soc>,
+    anchor_cycle: u64,
+    window: u64,
+    hits: &'a AtomicUsize,
+}
+
+impl<'a> Livelock<'a> {
+    fn new(snapshot: &Snapshot, golden_cycles: u64, hits: &'a AtomicUsize) -> Livelock<'a> {
+        let soc = snapshot.soc();
+        Livelock {
+            detect: !matches!(soc.bus().arbiter_kind(), ArbiterKind::Tdma { .. })
+                && !soc.has_chaos(),
+            golden_cycles,
+            budget: snapshot.budget(),
+            anchor: None,
+            anchor_cycle: 0,
+            window: LOOP_WINDOW,
+            hits,
         }
-        soc.step();
-        if let Some(core) = (0..soc.core_count()).find(|&i| soc.core(i).fatal_trap()) {
-            break RunOutcome::FatalTrap { core, cycles: soc.cycle() };
+    }
+
+    fn reanchor(&mut self, soc: &Soc) {
+        self.anchor = Some(soc.clone());
+        self.anchor_cycle = soc.cycle();
+    }
+
+    fn check(&mut self, soc: &Soc) -> ControlFlow<RunOutcome> {
+        if !self.detect || soc.cycle() <= self.golden_cycles {
+            return ControlFlow::Continue(());
         }
-        if soc.core(0).halted() {
-            break RunOutcome::AllHalted { cycles: soc.cycle() };
-        }
-        if soc.bus().watchdog().bitten() {
-            break RunOutcome::Watchdog { cycles: soc.cycle() };
-        }
-        if detect && soc.cycle() > golden_cycles {
-            match &anchor {
-                None => {
-                    anchor = Some(soc.clone());
-                    anchor_cycle = soc.cycle();
-                }
-                Some(a) if soc.loop_state_eq(a) => {
-                    match verify_loop(&soc, soc.cycle() - anchor_cycle) {
-                        LoopProbe::Confirmed => {
-                            loop_hits.fetch_add(1, Ordering::Relaxed);
-                            break RunOutcome::Watchdog { cycles: snapshot.budget() };
-                        }
-                        LoopProbe::Tainted => {
-                            detect = false;
-                            anchor = None;
-                        }
-                        LoopProbe::NotPeriodic => {
-                            anchor = Some(soc.clone());
-                            anchor_cycle = soc.cycle();
-                            window *= 2;
-                        }
+        match &self.anchor {
+            None => self.reanchor(soc),
+            Some(a) if soc.loop_state_eq(a) => {
+                match verify_loop(soc, soc.cycle() - self.anchor_cycle) {
+                    LoopProbe::Confirmed => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return ControlFlow::Break(RunOutcome::Watchdog { cycles: self.budget });
+                    }
+                    LoopProbe::Tainted => {
+                        self.detect = false;
+                        self.anchor = None;
+                    }
+                    LoopProbe::NotPeriodic => {
+                        self.reanchor(soc);
+                        self.window *= 2;
                     }
                 }
-                Some(_) if soc.cycle() - anchor_cycle >= window => {
-                    anchor = Some(soc.clone());
-                    anchor_cycle = soc.cycle();
-                    window *= 2;
-                }
-                Some(_) => {}
             }
+            Some(_) if soc.cycle() - self.anchor_cycle >= self.window => {
+                self.reanchor(soc);
+                self.window *= 2;
+            }
+            Some(_) => {}
         }
-    };
-    experiment.observe(&soc, outcome)
-}
-
-/// The fallback grader: the serial warm path with the livelock
-/// short-circuit. Used for fallen-off lanes and HDCU/ICU words.
-pub(crate) struct PpsfpFallbackGrader<'a> {
-    pub experiment: &'a Experiment,
-    pub golden: &'a Observation,
-    pub snapshot: &'a Snapshot,
-    pub loop_hits: &'a AtomicUsize,
-}
-
-impl FaultGrader for PpsfpFallbackGrader<'_> {
-    fn grade(&self, site: FaultSite) -> Verdict {
-        let faulty = run_warm_loopcheck(
-            self.experiment,
-            self.snapshot,
-            self.golden.cycles,
-            FaultPlane::armed(site),
-            self.loop_hits,
-        );
-        Experiment::classify(self.golden, &faulty)
+        ControlFlow::Continue(())
     }
 }
 
 // ---------------------------------------------------------------------
-// Campaign entry points
+// Campaign entry point
 // ---------------------------------------------------------------------
-
-/// [`run_campaign_ppsfp_detailed`] without the per-fault records.
-pub fn run_campaign_ppsfp(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_ppsfp_detailed(experiment, golden, faults, threads).0
-}
 
 /// The bit-parallel campaign: packs the list into [`FaultWord`]s, rides
 /// forwarding words on one tapped golden tail, and grades everything
@@ -805,33 +751,36 @@ pub fn run_campaign_ppsfp(
 /// with the livelock short-circuit. Verdicts are returned in fault-list
 /// order and are bit-identical to [`run_campaign_warm_detailed`]
 /// (pinned by the equivalence wall); each fault is graded exactly once.
+/// The telemetry reports how the list split between the ride and the
+/// fallback, and the campaign's wall-clock time.
 ///
 /// [`run_campaign_warm_detailed`]: crate::run_campaign_warm_detailed
-pub fn run_campaign_ppsfp_detailed(
+pub fn run_campaign_ppsfp_telemetry(
     experiment: &Experiment,
     golden: &Observation,
     faults: &FaultList,
     threads: usize,
-) -> (CampaignResult, Vec<(FaultSite, Verdict)>, PpsfpStats) {
+) -> (CampaignResult, Vec<(FaultSite, Verdict)>, PpsfpTelemetry) {
+    let start = std::time::Instant::now();
     let sites = faults.sites();
     let words = pack_fault_words(sites);
-    let mut stats = PpsfpStats {
-        words: words.len(),
+    let mut tel = PpsfpTelemetry {
+        words: words.len() as u64,
         pack_density: pack_density(&words),
-        ..PpsfpStats::default()
+        ..PpsfpTelemetry::default()
     };
-    let slots = Mutex::new(vec![None::<Verdict>; sites.len()]);
     if sites.is_empty() {
-        return (CampaignResult::default(), Vec::new(), stats);
+        return (CampaignResult::default(), Vec::new(), tel);
     }
     let snapshot = experiment.snapshot(golden);
+    let slots = Mutex::new(vec![None::<Verdict>; sites.len()]);
 
     let ridden: Vec<&FaultWord> =
         words.iter().filter(|w| w.unit() == Unit::Forwarding).collect();
     if !ridden.is_empty() {
         if let Some(trace) = record_ride(experiment, &snapshot) {
-            stats.ridden_words = ridden.len();
-            stats.packed_faults = ridden.iter().map(|w| w.len()).sum();
+            tel.ridden_words = ridden.len() as u64;
+            tel.packed_faults = ridden.iter().map(|w| w.len() as u64).sum();
             let next = AtomicUsize::new(0);
             let workers = crate::faultsim::resolve_threads(threads).min(ridden.len());
             std::thread::scope(|scope| {
@@ -854,55 +803,23 @@ pub fn run_campaign_ppsfp_detailed(
             });
         }
     }
-
-    let graded_on_ride =
-        slots.lock().expect("verdict slots").iter().filter(|v| v.is_some()).count();
-    stats.fallback_faults = sites.len() - graded_on_ride;
-    stats.fallback_rate = stats.fallback_faults as f64 / sites.len() as f64;
+    let slots = slots.into_inner().expect("verdict slots");
+    tel.fallback_faults = slots.iter().filter(|v| v.is_none()).count() as u64;
+    tel.fallback_rate = tel.fallback_faults as f64 / sites.len() as f64;
 
     let loop_hits = AtomicUsize::new(0);
-    let grader = PpsfpFallbackGrader {
-        experiment,
-        golden,
-        snapshot: &snapshot,
-        loop_hits: &loop_hits,
+    let warm = WarmExperimentGrader { experiment, golden, snapshot: &snapshot };
+    let fallback = |site| {
+        let mut livelock = Livelock::new(&snapshot, golden.cycles, &loop_hits);
+        warm.grade_with(site, |soc| livelock.check(soc))
     };
-    let errors = Mutex::new(Vec::new());
-    grade_pending(&grader, sites, &slots, &errors, threads, &|_| {});
-    stats.loop_short_circuits = loop_hits.load(Ordering::Relaxed);
+    let graded = grade(&fallback, sites, slots, usize::MAX, threads, &|_| {});
+    tel.loop_short_circuits = loop_hits.load(Ordering::Relaxed) as u64;
 
-    let records: Vec<(FaultSite, Verdict)> = sites
-        .iter()
-        .zip(slots.into_inner().expect("verdict slots"))
-        .map(|(&s, v)| (s, v.expect("every fault graded")))
-        .collect();
-    (CampaignResult::from_records(&records), records, stats)
-}
-
-/// [`run_campaign_ppsfp_detailed`] plus wall-clock telemetry in the
-/// observability layer's type.
-pub fn run_campaign_ppsfp_telemetry(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> (CampaignResult, Vec<(FaultSite, Verdict)>, sbst_obs::PpsfpTelemetry) {
-    let start = std::time::Instant::now();
-    let (result, records, stats) =
-        run_campaign_ppsfp_detailed(experiment, golden, faults, threads);
     let elapsed = start.elapsed().as_secs_f64();
-    let telemetry = sbst_obs::PpsfpTelemetry {
-        total: result.total as u64,
-        words: stats.words as u64,
-        ridden_words: stats.ridden_words as u64,
-        packed_faults: stats.packed_faults as u64,
-        pack_density: stats.pack_density,
-        fallback_faults: stats.fallback_faults as u64,
-        fallback_rate: stats.fallback_rate,
-        loop_short_circuits: stats.loop_short_circuits as u64,
-        elapsed_secs: elapsed,
-        faults_per_sec: if elapsed > 0.0 { result.total as f64 / elapsed } else { 0.0 },
-        mix: result.mix(),
-    };
-    (result, records, telemetry)
+    tel.total = graded.result.total as u64;
+    tel.elapsed_secs = elapsed;
+    tel.faults_per_sec = if elapsed > 0.0 { tel.total as f64 / elapsed } else { 0.0 };
+    tel.mix = graded.result.mix();
+    (graded.result, graded.records, tel)
 }

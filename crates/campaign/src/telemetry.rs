@@ -1,15 +1,13 @@
-//! Campaign telemetry: throughput, verdict mix, warm-start hit rate and
-//! periodic progress snapshots, collected through the engine's
-//! `on_done` observer seam.
+//! Campaign telemetry: throughput, verdict mix and periodic progress
+//! snapshots, collected through the grading core's `on_done` observer
+//! seam.
 //!
-//! The observer runs outside the verdict lock (see
-//! [`grade_pending`](crate::faultsim)), so snapshots can arrive out of
-//! order; a monotonic done-count guard keeps the recorded progress
+//! The observer runs outside the verdict lock, so snapshots can arrive
+//! out of order; a monotonic done-count guard keeps the recorded progress
 //! strictly increasing. Telemetry never changes what is graded: the
-//! verdicts and aggregates are identical to the plain
-//! [`run_campaign_detailed`](crate::run_campaign_detailed) /
-//! [`run_campaign_warm_detailed`](crate::run_campaign_warm_detailed)
-//! paths.
+//! verdicts and aggregates are identical to
+//! [`run_campaign_graded`](crate::run_campaign_graded) with the same
+//! grader.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -17,10 +15,7 @@ use std::time::Instant;
 use sbst_fault::{FaultList, FaultSite, Verdict};
 use sbst_obs::{CampaignTelemetry, ProgressSnapshot};
 
-use crate::experiment::{Experiment, Observation};
-use crate::faultsim::{
-    grade_pending, CampaignResult, ExperimentGrader, FaultGrader, WarmExperimentGrader,
-};
+use crate::faultsim::{grade, CampaignResult, FaultGrader};
 
 /// Progress snapshots targeted per campaign (the last fault always
 /// produces one, so short campaigns still get an end-of-run sample).
@@ -29,7 +24,8 @@ const TARGET_SNAPSHOTS: usize = 8;
 /// Grades `faults` with `grader` while collecting telemetry. The
 /// wall-clock fields (`elapsed_secs`, `faults_per_sec`, snapshot
 /// timings) are the only non-deterministic outputs; verdicts and the
-/// mix are bit-identical to the untelemetered engine.
+/// mix are bit-identical to the untelemetered engine. `warm_hit_rate`
+/// is left `None`: only the caller knows whether `grader` exits early.
 pub fn run_campaign_graded_telemetry(
     grader: &dyn FaultGrader,
     faults: &FaultList,
@@ -37,14 +33,12 @@ pub fn run_campaign_graded_telemetry(
 ) -> (CampaignResult, Vec<(FaultSite, Verdict)>, CampaignTelemetry) {
     let sites = faults.sites();
     let total = sites.len();
-    let pending = Mutex::new(vec![None::<Verdict>; total]);
-    let errors = Mutex::new(Vec::new());
     let start = Instant::now();
     let interval = (total / TARGET_SNAPSHOTS).max(1);
     // (highest done-count recorded, snapshots) — the guard keeps
     // progress monotonic even when observer calls arrive out of order.
     let progress: Mutex<(usize, Vec<ProgressSnapshot>)> = Mutex::new((0, Vec::new()));
-    grade_pending(grader, sites, &pending, &errors, threads, &|slots| {
+    let on_done = |slots: &[Option<Verdict>]| {
         let done = slots.iter().filter(|v| v.is_some()).count();
         if !done.is_multiple_of(interval) && done != total {
             return;
@@ -61,54 +55,17 @@ pub fn run_campaign_graded_telemetry(
             elapsed_secs: elapsed,
             faults_per_sec: if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 },
         });
-    });
+    };
+    let graded =
+        grade(&|site| grader.grade(site), sites, vec![None; total], usize::MAX, threads, &on_done);
     let elapsed = start.elapsed().as_secs_f64();
-    let records: Vec<(FaultSite, Verdict)> = sites
-        .iter()
-        .zip(pending.into_inner().expect("verdict slots"))
-        .map(|(&s, v)| (s, v.expect("every fault graded")))
-        .collect();
-    let result = CampaignResult::from_records(&records);
     let telemetry = CampaignTelemetry {
         total: total as u64,
-        mix: result.mix(),
+        mix: graded.result.mix(),
         elapsed_secs: elapsed,
         faults_per_sec: if elapsed > 0.0 { total as f64 / elapsed } else { 0.0 },
         warm_hit_rate: None,
         progress: progress.into_inner().expect("progress state").1,
     };
-    (result, records, telemetry)
-}
-
-/// [`run_campaign_detailed`](crate::run_campaign_detailed) plus
-/// telemetry (cold path: `warm_hit_rate` stays `None`).
-pub fn run_campaign_telemetry(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> (CampaignResult, Vec<(FaultSite, Verdict)>, CampaignTelemetry) {
-    let grader = ExperimentGrader { experiment, golden };
-    run_campaign_graded_telemetry(&grader, faults, threads)
-}
-
-/// [`run_campaign_warm_detailed`](crate::run_campaign_warm_detailed)
-/// plus telemetry. `warm_hit_rate` is the fraction of faults that
-/// short-circuited on the warm path's early-verdict exit — everything
-/// except hangs, which by definition ran out their whole tail budget.
-pub fn run_campaign_warm_telemetry(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> (CampaignResult, Vec<(FaultSite, Verdict)>, CampaignTelemetry) {
-    let snapshot = experiment.snapshot(golden);
-    let grader = WarmExperimentGrader { experiment, golden, snapshot: &snapshot };
-    let (result, records, mut telemetry) = run_campaign_graded_telemetry(&grader, faults, threads);
-    telemetry.warm_hit_rate = Some(if result.total == 0 {
-        0.0
-    } else {
-        1.0 - result.hang as f64 / result.total as f64
-    });
-    (result, records, telemetry)
+    (graded.result, graded.records, telemetry)
 }

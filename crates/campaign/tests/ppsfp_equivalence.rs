@@ -10,11 +10,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use sbst_campaign::{
-    routines_for, run_campaign_ppsfp_detailed, run_campaign_warm_detailed, ExecStyle,
-    Experiment, PpsfpStats,
+    routines_for, run_campaign_ppsfp_telemetry, run_campaign_warm_detailed, ExecStyle, Experiment,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
-use sbst_fault::{collapse, FaultList, FaultSite, Unit, Verdict};
+use sbst_fault::{collapse, Element, FaultList, FaultSite, Polarity, Unit, Verdict};
+use sbst_obs::PpsfpTelemetry;
 use sbst_soc::Scenario;
 
 type Records = Vec<(FaultSite, Verdict)>;
@@ -37,11 +37,11 @@ fn warm_and_ppsfp(
     kind: CoreKind,
     unit: Unit,
     faults: &FaultList,
-) -> (Records, Records, PpsfpStats) {
+) -> (Records, Records, PpsfpTelemetry) {
     let exp = multicore_exp(kind, unit);
     let golden = exp.golden();
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, faults, 0);
-    let (result, ppsfp, stats) = run_campaign_ppsfp_detailed(&exp, &golden, faults, 0);
+    let (result, ppsfp, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, faults, 0);
     assert_eq!(result.total, faults.len(), "every fault graded exactly once");
     assert_eq!(
         result.sim_errors, 0,
@@ -54,7 +54,7 @@ struct Fixture {
     reps: FaultList,
     warm: Records,
     ppsfp: Records,
-    stats: PpsfpStats,
+    stats: PpsfpTelemetry,
 }
 
 /// The headline fixture: the full collapsed forwarding-unit universe on
@@ -91,7 +91,7 @@ fn forwarding_rides_the_golden_tail_for_most_lanes() {
     let fx = forwarding_a();
     let s = &fx.stats;
     assert!(s.ridden_words > 0, "no word rode the golden tail");
-    assert_eq!(s.packed_faults, fx.reps.len(), "all-forwarding list packs entirely");
+    assert_eq!(s.packed_faults, fx.reps.len() as u64, "all-forwarding list packs entirely");
     assert!(
         s.fallback_rate < 0.5,
         "fallback rate {:.2} — the ride fell off on most lanes",
@@ -99,7 +99,7 @@ fn forwarding_rides_the_golden_tail_for_most_lanes() {
     );
     assert_eq!(
         s.fallback_faults,
-        (s.fallback_rate * fx.reps.len() as f64).round() as usize,
+        (s.fallback_rate * fx.reps.len() as f64).round() as u64,
         "fallback rate and count must agree"
     );
     assert!(s.pack_density > 0.0 && s.pack_density <= 1.0);
@@ -138,7 +138,7 @@ fn hdcu_words_fall_back_wholesale_with_identical_verdicts() {
     assert_eq!(warm, ppsfp);
     assert_eq!(stats.ridden_words, 0, "HDCU words must not ride");
     assert_eq!(stats.packed_faults, 0);
-    assert_eq!(stats.fallback_faults, reps.len(), "every fault graded serially");
+    assert_eq!(stats.fallback_faults, reps.len() as u64, "every fault graded serially");
     assert_eq!(stats.fallback_rate, 1.0);
 }
 
@@ -164,10 +164,10 @@ fn all_fallback_campaign_counts_every_fault_exactly_once() {
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Hdcu).sample(5);
     let (result, records, stats) =
-        run_campaign_ppsfp_detailed(&exp, &golden, &faults, 0);
+        run_campaign_ppsfp_telemetry(&exp, &golden, &faults, 0);
     assert_eq!(result.total, faults.len());
     assert_eq!(records.len(), faults.len());
-    assert_eq!(stats.fallback_faults, faults.len());
+    assert_eq!(stats.fallback_faults, faults.len() as u64);
     assert_eq!(
         result.wrong_signature
             + result.test_fail
@@ -192,15 +192,15 @@ fn empty_and_single_fault_lists_have_exact_arithmetic() {
     let golden = exp.golden();
 
     let empty = FaultList::new();
-    let (result, records, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &empty, 0);
+    let (result, records, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &empty, 0);
     assert_eq!(result.total, 0);
     assert!(records.is_empty());
-    assert_eq!(stats, PpsfpStats::default());
+    assert_eq!(stats, PpsfpTelemetry::default());
 
     let universe = unit_fault_list(CoreKind::A, Unit::Forwarding);
     let one = FaultList::from_sites(vec![universe.sites()[0]]);
     assert_eq!(one.len(), 1);
-    let (result, records, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &one, 0);
+    let (result, records, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &one, 0);
     assert_eq!(result.total, 1);
     assert_eq!(records.len(), 1);
     assert_eq!(stats.words, 1, "a single fault packs into one single-lane word");
@@ -209,6 +209,28 @@ fn empty_and_single_fault_lists_have_exact_arithmetic() {
     assert!(stats.fallback_faults <= 1);
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &one, 0);
     assert_eq!(warm, records);
+}
+
+/// The livelock short-circuit must actually fire. A stall line stuck
+/// at 1 freezes the core under test in a repeating state, so the serial
+/// fallback's loop detector proves the hang and ends the run early —
+/// the verdict stays `Hang`, and the telemetry counts exactly one
+/// short-circuit. Without this pin the detector could silently stop
+/// firing while every equivalence wall still passed.
+#[test]
+fn stuck_stall_line_hang_is_short_circuited_by_the_livelock_detector() {
+    let exp = multicore_exp(CoreKind::A, Unit::Hdcu);
+    let golden = exp.golden();
+    let site = FaultSite {
+        unit: Unit::Hdcu,
+        instance: sbst_cpu::HDCU_CTRL,
+        element: Element::StallLine { line: 4 },
+        polarity: Polarity::StuckAt1,
+    };
+    let faults = FaultList::from_sites(vec![site]);
+    let (_, records, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &faults, 0);
+    assert_eq!(records, vec![(site, Verdict::Hang)]);
+    assert_eq!(stats.loop_short_circuits, 1, "the livelock detector must fire");
 }
 
 proptest! {
@@ -238,7 +260,7 @@ proptest! {
             .map(|(_, &s)| s)
             .collect();
         let list = FaultList::from_sites(sites);
-        let (_, ppsfp, _) = run_campaign_ppsfp_detailed(&exp, &golden, &list, 0);
+        let (_, ppsfp, _) = run_campaign_ppsfp_telemetry(&exp, &golden, &list, 0);
         // The full-list fixture already holds the serial verdict of
         // every representative: compare against it site by site.
         for (site, verdict) in &ppsfp {

@@ -9,7 +9,8 @@
 //! one bus to Flash and SRAM.
 //!
 //! * [`SocBuilder`] / [`Soc`] — construction and the cycle-stepped run
-//!   loop with watchdog;
+//!   loop with watchdog ([`Soc::run_until`]: one loop, a [`StopAt`]
+//!   policy and a per-step hook);
 //! * [`Scenario`] — the experimental axes of the paper's sweeps (active
 //!   cores, code position, alignment, phase skew);
 //! * [`PipelineTrace`] — pipeline-occupancy capture and the ASCII
@@ -27,5 +28,5 @@ mod trace;
 pub use chaos::ChaosConfig;
 pub use obs::ObsConfig;
 pub use scenario::{Alignment, CodePosition, Scenario};
-pub use soc::{RunOutcome, Soc, SocBuilder};
+pub use soc::{RunOutcome, Soc, SocBuilder, StopAt};
 pub use trace::PipelineTrace;

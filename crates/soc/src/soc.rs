@@ -1,5 +1,6 @@
 //! The SoC: cores, shared bus, run loop.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use sbst_cpu::{Core, CoreConfig};
@@ -34,6 +35,16 @@ pub enum RunOutcome {
         /// Cycle at which the watchdog bit (or the budget expired).
         cycles: u64,
     },
+}
+
+/// What ends a clean run of [`Soc::run_until`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopAt {
+    /// Every core halted — the in-field end of a self-test slot.
+    AllHalted,
+    /// Core `i` halted, whatever the others are doing — the campaign's
+    /// early exit, where only the core under test carries a fault.
+    CoreHalted(usize),
 }
 
 impl RunOutcome {
@@ -382,20 +393,50 @@ impl Soc {
     /// report [`RunOutcome::Watchdog`] — in field they are the same
     /// alarm.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
-        for _ in 0..max_cycles {
+        let deadline = self.cycle.saturating_add(max_cycles);
+        self.run_until(deadline, StopAt::AllHalted, |_| ControlFlow::Continue(()))
+    }
+
+    /// The simulator's one step/stop loop; [`run`](Soc::run), the
+    /// campaign's warm tail, its PPSFP ride and its livelock-checked
+    /// fallback are all this loop with a different `stop` and `hook`.
+    ///
+    /// Each iteration first ends the run with [`RunOutcome::Watchdog`]
+    /// if the absolute cycle `deadline` is reached, then steps once and
+    /// checks, in this order: a fatal trap on any core
+    /// ([`RunOutcome::FatalTrap`]), the clean end chosen by `stop`
+    /// ([`RunOutcome::AllHalted`]), and a bite of the memory-mapped
+    /// watchdog ([`RunOutcome::Watchdog`]). Only a step that none of
+    /// these ended reaches `hook`, which may end the run with an outcome
+    /// of its own; a hook that records per-step state must therefore
+    /// read the final step off the SoC after the loop returns.
+    pub fn run_until(
+        &mut self,
+        deadline: u64,
+        stop: StopAt,
+        mut hook: impl FnMut(&mut Soc) -> ControlFlow<RunOutcome>,
+    ) -> RunOutcome {
+        loop {
+            if self.cycle >= deadline {
+                return RunOutcome::Watchdog { cycles: self.cycle };
+            }
             self.step();
-            if let Some(core) =
-                self.cores.iter().position(|(c, _)| c.fatal_trap())
-            {
+            if let Some(core) = self.cores.iter().position(|(c, _)| c.fatal_trap()) {
                 return RunOutcome::FatalTrap { core, cycles: self.cycle };
             }
-            if self.all_halted() {
+            let halted = match stop {
+                StopAt::AllHalted => self.all_halted(),
+                StopAt::CoreHalted(i) => self.cores[i].0.halted(),
+            };
+            if halted {
                 return RunOutcome::AllHalted { cycles: self.cycle };
             }
             if self.bus.watchdog().bitten() {
                 return RunOutcome::Watchdog { cycles: self.cycle };
             }
+            if let ControlFlow::Break(outcome) = hook(self) {
+                return outcome;
+            }
         }
-        RunOutcome::Watchdog { cycles: self.cycle }
     }
 }

@@ -1,13 +1,14 @@
 //! Pipeline-occupancy tracing and ASCII diagrams (the paper's Figure 1).
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use sbst_cpu::StageView;
 
+use crate::{Soc, StopAt};
+
 /// Per-instruction diagram row: (first cycle seen, label, cycle → stage).
 type DiagramRow = (u64, String, BTreeMap<u64, &'static str>);
-
-use crate::Soc;
 
 /// A per-cycle record of one core's pipeline occupancy.
 #[derive(Debug, Clone, Default)]
@@ -17,15 +18,19 @@ pub struct PipelineTrace {
 
 impl PipelineTrace {
     /// Records core `core_idx`'s pipeline (advancing the whole SoC)
-    /// until that core halts or `max_cycles` elapse.
+    /// until that core halts, a core takes a fatal trap, the watchdog
+    /// bites, or `max_cycles` elapse.
     pub fn capture(soc: &mut Soc, core_idx: usize, max_cycles: u64) -> PipelineTrace {
+        let start = soc.cycle();
         let mut views = Vec::new();
-        for _ in 0..max_cycles {
-            soc.step();
-            views.push((soc.cycle(), soc.core(core_idx).stage_view()));
-            if soc.core(core_idx).halted() {
-                break;
-            }
+        let view = |soc: &Soc| (soc.cycle(), soc.core(core_idx).stage_view());
+        soc.run_until(start.saturating_add(max_cycles), StopAt::CoreHalted(core_idx), |soc| {
+            views.push(view(soc));
+            ControlFlow::Continue(())
+        });
+        // The step that ended the run never reaches the hook.
+        if views.last().map_or(start, |v| v.0) < soc.cycle() {
+            views.push(view(soc));
         }
         PipelineTrace { views }
     }

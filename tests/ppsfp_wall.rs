@@ -5,7 +5,7 @@
 //! the invariant in the default `cargo test` run at debug-build speed.
 
 use det_sbst::campaign::{
-    routines_for, run_campaign_ppsfp_detailed, run_campaign_warm_detailed, ExecStyle,
+    routines_for, run_campaign_ppsfp_telemetry, run_campaign_warm_detailed, ExecStyle,
     Experiment,
 };
 use det_sbst::cpu::{unit_fault_list, CoreKind};
@@ -29,7 +29,7 @@ fn ppsfp_verdicts_match_warm_on_a_sampled_forwarding_list() {
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Forwarding).sample(40);
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, 0);
-    let (result, ppsfp, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &faults, 0);
+    let (result, ppsfp, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &faults, 0);
     assert_eq!(result.total, faults.len(), "every fault graded exactly once");
     assert_eq!(result.sim_errors, 0);
     assert!(stats.ridden_words > 0, "forwarding faults must ride the golden tail");
@@ -47,7 +47,7 @@ fn ppsfp_forced_fallback_matches_warm_on_a_sampled_hdcu_list() {
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Hdcu).sample(60);
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, 0);
-    let (_, ppsfp, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &faults, 0);
-    assert_eq!(stats.fallback_faults, faults.len(), "HDCU words must not ride");
+    let (_, ppsfp, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &faults, 0);
+    assert_eq!(stats.fallback_faults, faults.len() as u64, "HDCU words must not ride");
     assert_eq!(warm, ppsfp);
 }
