@@ -146,13 +146,14 @@ fn write_dashboard(report: &FleetReport, path: &str) {
     }
     let mut out = String::new();
     for e in &report.events {
-        out.push_str(&format!(
-            "{{\"t_ms\":{},\"worker\":{},\"event\":\"{}\",\"args\":{}}}\n",
-            e.cycle,
-            e.core.map_or("null".into(), |c| c.to_string()),
-            e.kind.name(),
-            e.args_json(),
-        ));
+        let line = Json::Obj(vec![
+            ("t_ms".into(), Json::int(e.cycle)),
+            ("worker".into(), e.core.map_or(Json::Null, |c| Json::int(c.into()))),
+            ("event".into(), Json::Str(e.kind.name().into())),
+            ("args".into(), e.args()),
+        ]);
+        out.push_str(&line.render());
+        out.push('\n');
     }
     out.push_str(&report.telemetry.to_json().render());
     out.push('\n');

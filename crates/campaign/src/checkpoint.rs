@@ -17,8 +17,9 @@
 //! ECU variant is rejected with [`CheckpointError::ConfigMismatch`]
 //! instead of silently grading the wrong population.
 //!
-//! The on-disk format is deliberately tiny and hand-rolled (the build
-//! is hermetic — no serde):
+//! The on-disk format is one small JSON object, read and written
+//! through the workspace's one JSON codec, [`sbst_obs::Json`], whose
+//! exact integers carry the 64-bit fingerprints bit for bit:
 //!
 //! ```json
 //! {
@@ -30,7 +31,10 @@
 //! ```
 //!
 //! `verdicts[i]` is `null` while fault `i` is still ungraded, else the
-//! stable tag of [`Verdict`] (see [`Verdict::tag`]). Writes go through
+//! stable tag of [`Verdict`] (see [`Verdict::tag`]). Reading is strict:
+//! an unknown or missing key, an unsupported version, a fingerprint
+//! that is not an unsigned 64-bit integer, or anything short of one
+//! complete object is [`CheckpointError::Malformed`]. Writes go through
 //! a temp file + rename so a crash mid-write never corrupts the last
 //! good checkpoint.
 
@@ -40,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use sbst_fault::{FaultList, FaultSite, Verdict};
+use sbst_obs::{parse_json, Json};
 
 use crate::experiment::ExperimentConfig;
 use crate::faultsim::{grade, CampaignError, CampaignResult, ExperimentGrader, FaultGrader};
@@ -182,27 +187,13 @@ impl Checkpoint {
 
     /// Serializes to the checkpoint JSON format.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + 16 * self.verdicts.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {CHECKPOINT_VERSION},\n"));
-        out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
-        out.push_str(&format!("  \"config\": {},\n", self.config));
-        out.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            match v {
-                Some(v) => {
-                    out.push('"');
-                    out.push_str(v.tag());
-                    out.push('"');
-                }
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("]\n}\n");
-        out
+        Json::Obj(vec![
+            ("version".into(), Json::int(CHECKPOINT_VERSION.into())),
+            ("fingerprint".into(), Json::int(self.fingerprint)),
+            ("config".into(), Json::int(self.config)),
+            ("verdicts".into(), verdicts_to_json(self.verdicts.iter().copied())),
+        ])
+        .render_pretty(2)
     }
 
     /// Parses the checkpoint JSON format.
@@ -212,39 +203,20 @@ impl Checkpoint {
     /// Returns [`CheckpointError::Malformed`] with a description of the
     /// first offending construct.
     pub fn from_json(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let mut p = Parser { rest: text };
-        p.expect('{')?;
-        let mut version = None;
-        let mut fp = None;
-        let mut config = None;
-        let mut verdicts = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "version" => version = Some(p.integer()?),
-                "fingerprint" => fp = Some(p.integer()?),
-                "config" => config = Some(p.integer()?),
-                "verdicts" => verdicts = Some(p.verdict_array()?),
-                other => {
-                    return Err(CheckpointError::Malformed(format!("unknown key {other:?}")))
-                }
-            }
-            if !p.comma_or('}')? {
-                break;
-            }
-        }
-        let version = version.ok_or_else(|| malformed("missing version"))?;
-        match version {
+        let record = parse_record(text, &["version", "fingerprint", "config", "verdicts"])?;
+        match uint(&record, "version")? {
             // Version 1 predates config binding; treat it as unbound.
             1 => {}
-            v if v == CHECKPOINT_VERSION as u64 => {}
+            v if v == u64::from(CHECKPOINT_VERSION) => {}
             v => return Err(malformed(&format!("unsupported version {v}"))),
         }
         Ok(Checkpoint {
-            fingerprint: fp.ok_or_else(|| malformed("missing fingerprint"))?,
-            config: config.unwrap_or(CONFIG_UNBOUND),
-            verdicts: verdicts.ok_or_else(|| malformed("missing verdicts"))?,
+            fingerprint: uint(&record, "fingerprint")?,
+            config: match record.get("config") {
+                Some(_) => uint(&record, "config")?,
+                None => CONFIG_UNBOUND,
+            },
+            verdicts: verdicts_from_json(field(&record, "verdicts")?)?,
         })
     }
 
@@ -296,99 +268,51 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// A minimal parser for exactly the checkpoint schema (also reused by
-/// the fleet's shard-result files, which share its vocabulary).
-pub(crate) struct Parser<'a> {
-    pub(crate) rest: &'a str,
+/// Parses one record file (a checkpoint or a fleet shard result): the
+/// whole of `text` must be one JSON object whose keys all appear in
+/// `keys`.
+pub(crate) fn parse_record(text: &str, keys: &[&str]) -> Result<Json, CheckpointError> {
+    let record = parse_json(text).map_err(|e| malformed(&e.to_string()))?;
+    let Json::Obj(fields) = &record else {
+        return Err(malformed("expected a JSON object"));
+    };
+    if let Some((key, _)) = fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        return Err(malformed(&format!("unknown key {key:?}")));
+    }
+    Ok(record)
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
+/// The required field `key` of a record.
+pub(crate) fn field<'a>(record: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
+    record.get(key).ok_or_else(|| malformed(&format!("missing {key}")))
+}
 
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), CheckpointError> {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(r) => {
-                self.rest = r;
-                Ok(())
-            }
-            None => Err(malformed(&format!(
-                "expected {c:?} at {:?}",
-                &self.rest[..self.rest.len().min(20)]
-            ))),
-        }
-    }
+/// The required exact-integer field `key` of a record.
+pub(crate) fn uint(record: &Json, key: &str) -> Result<u64, CheckpointError> {
+    field(record, key)?
+        .as_u64()
+        .ok_or_else(|| malformed(&format!("{key} is not an unsigned 64-bit integer")))
+}
 
-    /// `"..."` (no escapes — verdict tags and keys never need them).
-    pub(crate) fn string(&mut self) -> Result<String, CheckpointError> {
-        self.expect('"')?;
-        let end = self
-            .rest
-            .find('"')
-            .ok_or_else(|| malformed("unterminated string"))?;
-        let s = self.rest[..end].to_string();
-        self.rest = &self.rest[end + 1..];
-        Ok(s)
-    }
+/// Verdict slots as a JSON array: each slot's stable tag, `null` when
+/// ungraded.
+pub(crate) fn verdicts_to_json(slots: impl Iterator<Item = Option<Verdict>>) -> Json {
+    Json::Arr(slots.map(|v| v.map_or(Json::Null, |v| Json::Str(v.tag().into()))).collect())
+}
 
-    pub(crate) fn integer(&mut self) -> Result<u64, CheckpointError> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return Err(malformed("expected integer"));
-        }
-        let n = self.rest[..end]
-            .parse()
-            .map_err(|_| malformed("integer out of range"))?;
-        self.rest = &self.rest[end..];
-        Ok(n)
-    }
-
-    /// `, ` → `true` (more elements), or the closing char → `false`.
-    pub(crate) fn comma_or(&mut self, close: char) -> Result<bool, CheckpointError> {
-        self.skip_ws();
-        if let Some(r) = self.rest.strip_prefix(',') {
-            self.rest = r;
-            self.skip_ws();
-            Ok(true)
-        } else if let Some(r) = self.rest.strip_prefix(close) {
-            self.rest = r;
-            Ok(false)
-        } else {
-            Err(malformed(&format!("expected ',' or {close:?}")))
-        }
-    }
-
-    pub(crate) fn verdict_array(&mut self) -> Result<Vec<Option<Verdict>>, CheckpointError> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if let Some(r) = self.rest.strip_prefix(']') {
-            self.rest = r;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            if let Some(r) = self.rest.strip_prefix("null") {
-                self.rest = r;
-                out.push(None);
-            } else {
-                let tag = self.string()?;
-                let v = Verdict::from_tag(&tag)
-                    .ok_or_else(|| malformed(&format!("unknown verdict tag {tag:?}")))?;
-                out.push(Some(v));
-            }
-            if !self.comma_or(']')? {
-                break;
-            }
-        }
-        Ok(out)
-    }
+/// The inverse of [`verdicts_to_json`].
+pub(crate) fn verdicts_from_json(array: &Json) -> Result<Vec<Option<Verdict>>, CheckpointError> {
+    let slots = array.as_arr().ok_or_else(|| malformed("verdicts is not an array"))?;
+    slots
+        .iter()
+        .map(|slot| match slot {
+            Json::Null => Ok(None),
+            Json::Str(tag) => Verdict::from_tag(tag)
+                .map(Some)
+                .ok_or_else(|| malformed(&format!("unknown verdict tag {tag:?}"))),
+            other => Err(malformed(&format!("verdict slot {} is not a tag or null", other.render()))),
+        })
+        .collect()
 }
 
 /// How a resumable campaign checkpoints itself.
@@ -579,6 +503,29 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_above_2_pow_53_round_trip_exactly() {
+        let mut cp = Checkpoint::with_config(&list(2), u64::MAX);
+        cp.fingerprint = (1 << 53) + 1;
+        cp.verdicts[1] = Some(Verdict::TestFail);
+        assert_eq!(Checkpoint::from_json(&cp.to_json()).expect("parses"), cp);
+    }
+
+    #[test]
+    fn the_previous_byte_layout_still_loads() {
+        let text = "{\n  \"version\": 2,\n  \"fingerprint\": 16045690981097406465,\n  \
+                    \"config\": 7,\n  \"verdicts\": [\"hang\", null, \"undetected\"]\n}\n";
+        let cp = Checkpoint::from_json(text).expect("parses");
+        assert_eq!(
+            cp,
+            Checkpoint {
+                fingerprint: 0xdead_beef_0000_0001,
+                config: 7,
+                verdicts: vec![Some(Verdict::Hang), None, Some(Verdict::Undetected)],
+            }
+        );
+    }
+
+    #[test]
     fn version_1_checkpoints_parse_as_config_unbound() {
         let text = "{\"version\": 1, \"fingerprint\": 42, \"verdicts\": [\"hang\", null]}";
         let cp = Checkpoint::from_json(text).expect("v1 parses");
@@ -633,6 +580,15 @@ mod tests {
             "{\"version\": 2}",
             "{\"version\": 99, \"fingerprint\": 1, \"verdicts\": []}",
             "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [\"bogus\"]}",
+            "{\"version\": 2, \"fingerprint\": -1, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1.5, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1e3, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 18446744073709551616, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1, \"config\": \"1\", \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": []} {}",
+            "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [], \"extra\": 0}",
+            "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [7]}",
+            "[]",
         ] {
             assert!(Checkpoint::from_json(bad).is_err(), "accepted {bad:?}");
         }

@@ -32,9 +32,10 @@ use sbst_stl::WrapError;
 
 use crate::checkpoint::{fnv, Checkpoint};
 use crate::experiment::{Experiment, Observation, Snapshot};
+use crate::faultsim::CampaignResult;
 
 use super::chaos::{ChaosAction, WorkerChaos};
-use super::lease::{FailOutcome, FailureKind, LeasePolicy, LeaseTable, ShardFate};
+use super::lease::{FailOutcome, FailureKind, Lease, LeasePolicy, LeaseTable, ShardFate};
 use super::shard::{EcuSpec, FleetPlan, Shard};
 
 /// Grades one fault of one ECU variant — the seam the fleet engine
@@ -383,6 +384,48 @@ impl EventLog {
     }
 }
 
+/// Accounts one sealed result of `lease`, for both worker pools. A
+/// valid seal completes the shard and is returned for merging, unless
+/// the lease epoch is stale: the shard was stolen and re-graded, and
+/// the table counts the late result. A broken seal is charged to the
+/// shard as a [`FailureKind::Corrupt`] attempt.
+pub(crate) fn accept_result(
+    plan: &FleetPlan,
+    table: &LeaseTable,
+    log: &EventLog,
+    core: Option<u8>,
+    lease: &Lease,
+    result: ShardResult,
+) -> Option<ShardResult> {
+    let shard = &plan.shards[lease.shard];
+    let ecu_fp = plan.ecus[shard.ecu].fingerprint();
+    if !result.is_valid(lease.shard, plan.shard_fingerprint(shard), ecu_fp) {
+        let fail = table.fail(lease.shard, lease.epoch, FailureKind::Corrupt);
+        log.fail_event(core, lease.shard, FailureKind::Corrupt, fail);
+        return None;
+    }
+    if !table.complete(lease.shard, lease.epoch, result.resumed) {
+        return None;
+    }
+    if result.resumed > 0 {
+        table.note_resume();
+    }
+    log.push(
+        core,
+        TraceKind::ShardDone { shard: lease.shard as u32, restored: result.resumed },
+    );
+    Some(result)
+}
+
+/// The verdict mix of every merged shard.
+pub(crate) fn verdict_mix(merged: &[Option<Vec<Verdict>>]) -> VerdictMix {
+    let mut result = CampaignResult::default();
+    for &v in merged.iter().flatten().flatten() {
+        result.record(v, 1);
+    }
+    result.mix()
+}
+
 /// Serial reference run: every shard graded in plan order on the
 /// calling thread, no leases, no chaos. The baseline the headline
 /// property compares [`run_fleet`] against.
@@ -450,32 +493,12 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
                     }));
                     match outcome {
                         Ok(AttemptOutcome::Sealed(result)) => {
-                            let fault_fp = plan.shard_fingerprint(shard);
-                            let ecu_fp = plan.ecus[shard.ecu].fingerprint();
-                            if result.is_valid(lease.shard, fault_fp, ecu_fp) {
-                                if table.complete(lease.shard, lease.epoch, result.resumed) {
-                                    if result.resumed > 0 {
-                                        table.note_resume();
-                                        restored_total
-                                            .fetch_add(u64::from(result.resumed), Ordering::Relaxed);
-                                    }
-                                    log.push(
-                                        core,
-                                        TraceKind::ShardDone {
-                                            shard: lease.shard as u32,
-                                            restored: result.resumed,
-                                        },
-                                    );
-                                    merged.lock().expect("merged verdicts")[lease.shard] =
-                                        Some(result.verdicts);
-                                }
-                                // else: stale epoch — the shard was
-                                // stolen and re-graded; drop silently
-                                // (the table counted the late result).
-                            } else {
-                                let fail =
-                                    table.fail(lease.shard, lease.epoch, FailureKind::Corrupt);
-                                log.fail_event(core, lease.shard, FailureKind::Corrupt, fail);
+                            let accepted = accept_result(plan, table, log, core, &lease, result);
+                            if let Some(result) = accepted {
+                                restored_total
+                                    .fetch_add(u64::from(result.resumed), Ordering::Relaxed);
+                                merged.lock().expect("merged verdicts")[lease.shard] =
+                                    Some(result.verdicts);
                             }
                         }
                         Ok(AttemptOutcome::Cancelled) => {
@@ -502,17 +525,6 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
     });
 
     let verdicts = merged.into_inner().expect("merged verdicts");
-    let mut mix = VerdictMix::default();
-    for v in verdicts.iter().flatten().flatten() {
-        match v {
-            Verdict::WrongSignature => mix.wrong_signature += 1,
-            Verdict::TestFail => mix.test_fail += 1,
-            Verdict::UnexpectedTrap => mix.unexpected_trap += 1,
-            Verdict::Hang => mix.hang += 1,
-            Verdict::Undetected => mix.undetected += 1,
-            Verdict::SimError => mix.sim_error += 1,
-        }
-    }
     let elapsed = log.start.elapsed().as_secs_f64();
     let graded = tally.faults_graded.load(Ordering::Relaxed);
     let restored = restored_total.load(Ordering::Relaxed);
@@ -527,7 +539,7 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
         faults_restored: restored,
         elapsed_secs: elapsed,
         faults_per_sec: if elapsed > 0.0 { (graded + restored) as f64 / elapsed } else { 0.0 },
-        mix,
+        mix: verdict_mix(&verdicts),
     };
     FleetReport {
         fates: table.fates(),

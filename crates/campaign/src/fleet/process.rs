@@ -19,15 +19,17 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::AtomicBool;
 
 use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, TraceKind, VerdictMix};
+use sbst_obs::{FleetTelemetry, Json, TraceKind};
 
-use crate::checkpoint::{malformed, CheckpointError, Parser};
+use crate::checkpoint::{
+    field, malformed, parse_record, uint, verdicts_from_json, verdicts_to_json, CheckpointError,
+};
 
 use super::chaos::ChaosAction;
 use super::lease::{FailureKind, Lease, LeaseTable, ShardFate};
 use super::orchestrator::{
-    execute_shard, AttemptOutcome, EventLog, FleetConfig, FleetGrader, FleetReport, InjectedTally,
-    ShardResult,
+    accept_result, execute_shard, verdict_mix, AttemptOutcome, EventLog, FleetConfig, FleetGrader,
+    FleetReport, InjectedTally, ShardResult,
 };
 use super::shard::{FleetPlan, Shard};
 
@@ -35,22 +37,13 @@ impl ShardResult {
     /// Serializes the result to the shard-result file format (one JSON
     /// object, same vocabulary as the checkpoint format).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(48 + 16 * self.verdicts.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"shard\": {},\n", self.shard));
-        out.push_str(&format!("  \"resumed\": {},\n", self.resumed));
-        out.push_str(&format!("  \"checksum\": {},\n", self.checksum));
-        out.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(v.tag());
-            out.push('"');
-        }
-        out.push_str("]\n}\n");
-        out
+        Json::Obj(vec![
+            ("shard".into(), Json::int(self.shard as u64)),
+            ("resumed".into(), Json::int(self.resumed.into())),
+            ("checksum".into(), Json::int(self.checksum)),
+            ("verdicts".into(), verdicts_to_json(self.verdicts.iter().copied().map(Some))),
+        ])
+        .render_pretty(2)
     }
 
     /// Parses the shard-result file format.
@@ -61,40 +54,18 @@ impl ShardResult {
     /// or truncated result file from a killed child must parse as
     /// garbage, never as a half-result.
     pub fn from_json(text: &str) -> Result<ShardResult, CheckpointError> {
-        let mut p = Parser { rest: text };
-        p.expect('{')?;
-        let mut shard = None;
-        let mut resumed = None;
-        let mut checksum = None;
-        let mut verdicts = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "shard" => shard = Some(p.integer()? as usize),
-                "resumed" => resumed = Some(p.integer()? as u32),
-                "checksum" => checksum = Some(p.integer()?),
-                "verdicts" => {
-                    let slots = p.verdict_array()?;
-                    let mut out = Vec::with_capacity(slots.len());
-                    for v in slots {
-                        out.push(v.ok_or_else(|| malformed("null verdict in shard result"))?);
-                    }
-                    verdicts = Some(out);
-                }
-                other => {
-                    return Err(malformed(&format!("unknown key {other:?}")));
-                }
-            }
-            if !p.comma_or('}')? {
-                break;
-            }
-        }
+        let record = parse_record(text, &["shard", "resumed", "checksum", "verdicts"])?;
+        let verdicts = verdicts_from_json(field(&record, "verdicts")?)?
+            .into_iter()
+            .map(|v| v.ok_or_else(|| malformed("null verdict in shard result")))
+            .collect::<Result<_, _>>()?;
         Ok(ShardResult {
-            shard: shard.ok_or_else(|| malformed("missing shard"))?,
-            resumed: resumed.ok_or_else(|| malformed("missing resumed"))?,
-            checksum: checksum.ok_or_else(|| malformed("missing checksum"))?,
-            verdicts: verdicts.ok_or_else(|| malformed("missing verdicts"))?,
+            shard: usize::try_from(uint(&record, "shard")?)
+                .map_err(|_| malformed("shard out of range"))?,
+            resumed: u32::try_from(uint(&record, "resumed")?)
+                .map_err(|_| malformed("resumed out of range"))?,
+            checksum: uint(&record, "checksum")?,
+            verdicts,
         })
     }
 }
@@ -225,27 +196,9 @@ pub fn run_fleet_process(
             let _ = std::fs::remove_file(&a.out);
             match result {
                 Some(result) => {
-                    let shard = &plan.shards[a.shard];
-                    let fault_fp = plan.shard_fingerprint(shard);
-                    let ecu_fp = plan.ecus[shard.ecu].fingerprint();
-                    if result.is_valid(a.shard, fault_fp, ecu_fp) {
-                        if table.complete(a.shard, a.lease.epoch, result.resumed) {
-                            if result.resumed > 0 {
-                                table.note_resume();
-                                restored_total += u64::from(result.resumed);
-                            }
-                            log.push(
-                                None,
-                                TraceKind::ShardDone {
-                                    shard: a.shard as u32,
-                                    restored: result.resumed,
-                                },
-                            );
-                            merged[a.shard] = Some(result.verdicts);
-                        }
-                    } else {
-                        let fail = table.fail(a.shard, a.lease.epoch, FailureKind::Corrupt);
-                        log.fail_event(None, a.shard, FailureKind::Corrupt, fail);
+                    if let Some(result) = accept_result(plan, &table, &log, None, &a.lease, result) {
+                        restored_total += u64::from(result.resumed);
+                        merged[a.shard] = Some(result.verdicts);
                     }
                 }
                 None => {
@@ -296,17 +249,6 @@ pub fn run_fleet_process(
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let mut mix = VerdictMix::default();
-    for v in merged.iter().flatten().flatten() {
-        match v {
-            Verdict::WrongSignature => mix.wrong_signature += 1,
-            Verdict::TestFail => mix.test_fail += 1,
-            Verdict::UnexpectedTrap => mix.unexpected_trap += 1,
-            Verdict::Hang => mix.hang += 1,
-            Verdict::Undetected => mix.undetected += 1,
-            Verdict::SimError => mix.sim_error += 1,
-        }
-    }
     let completed_faults: u64 = plan
         .shards
         .iter()
@@ -326,7 +268,7 @@ pub fn run_fleet_process(
         faults_restored: restored_total,
         elapsed_secs: elapsed,
         faults_per_sec: if elapsed > 0.0 { completed_faults as f64 / elapsed } else { 0.0 },
-        mix,
+        mix: verdict_mix(&merged),
     };
     let fates = table.fates();
     debug_assert_eq!(
@@ -360,6 +302,31 @@ mod tests {
         // rejected, never half-parsed.
         for cut in 0..text.trim_end().len() {
             assert!(ShardResult::from_json(&text[..cut]).is_err(), "accepted prefix {cut}");
+        }
+    }
+
+    #[test]
+    fn the_previous_byte_layout_still_loads() {
+        let text = "{\n  \"shard\": 5,\n  \"resumed\": 2,\n  \"checksum\": 2643592411104133119,\n  \
+                    \"verdicts\": [\"hang\", \"undetected\", \"wrong-signature\"]\n}\n";
+        let r = ShardResult::from_json(text).expect("parses");
+        assert_eq!(r.checksum, 0x24af_ed4a_a2c7_bfff);
+        assert!(r.is_valid(5, 0xabc, 0xdef), "the seal survives the codec bit-exact");
+        assert_eq!(r.resumed, 2);
+    }
+
+    #[test]
+    fn out_of_range_and_null_fields_are_rejected() {
+        for bad in [
+            r#"{"shard": 1, "resumed": 4294967297, "checksum": 3, "verdicts": []}"#,
+            r#"{"shard": 1, "resumed": 0, "checksum": 3, "verdicts": ["hang", null]}"#,
+            r#"{"shard": 1, "resumed": 0, "checksum": -3, "verdicts": []}"#,
+            r#"{"shard": 1, "resumed": 0, "verdicts": []}"#,
+        ] {
+            assert!(
+                matches!(ShardResult::from_json(bad), Err(CheckpointError::Malformed(_))),
+                "accepted {bad}"
+            );
         }
     }
 

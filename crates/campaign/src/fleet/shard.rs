@@ -13,7 +13,7 @@ use sbst_fault::{FaultList, FaultSite, Unit};
 use sbst_mem::{CacheConfig, WritePolicy};
 use sbst_soc::Scenario;
 
-use crate::checkpoint::{fingerprint, fingerprint_config};
+use crate::checkpoint::{fingerprint, fingerprint_config, fnv, CONFIG_UNBOUND};
 use crate::experiment::{ExecStyle, ExperimentConfig};
 
 /// One ECU variant of the fleet population.
@@ -33,11 +33,8 @@ impl EcuSpec {
     pub fn fingerprint(&self) -> u64 {
         let cfg = fingerprint_config(&self.config);
         let mut h = cfg ^ 0x9e37_79b9_7f4a_7c15;
-        for b in format!("{:?}", self.unit).bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        if h == crate::checkpoint::CONFIG_UNBOUND {
+        fnv(&mut h, format!("{:?}", self.unit).as_bytes());
+        if h == CONFIG_UNBOUND {
             h = 1;
         }
         h
@@ -176,6 +173,16 @@ mod tests {
                 polarity: Polarity::StuckAt0,
             })
             .collect()
+    }
+
+    /// Per-shard checkpoints on disk are bound to these values: a
+    /// change here orphans every fleet checkpoint already written.
+    #[test]
+    fn ecu_fingerprints_are_pinned() {
+        let pinned = [0xdbeb_a973_cf2a_5721, 0xe60a_f51d_18e3_61cc, 0x10dc_cf0a_1092_d06f];
+        let found: Vec<u64> =
+            EcuSpec::population(Unit::Forwarding).iter().map(EcuSpec::fingerprint).collect();
+        assert_eq!(found, pinned);
     }
 
     #[test]

@@ -3,20 +3,30 @@
 //! The workspace deliberately carries no external dependencies, so the
 //! observability layer brings its own JSON: enough to *validate* the
 //! Chrome traces it emits, to read and extend `BENCH_campaign.json`,
-//! and to check golden-signature fixtures into version control. Objects
-//! preserve insertion order (rendering is deterministic), numbers are
-//! `f64`, and parsing accepts exactly the JSON grammar — no comments,
-//! no trailing commas.
+//! and to check golden-signature fixtures into version control. It is
+//! also the codec of the campaign's checkpoint and shard-result files,
+//! whose 64-bit fingerprints and seals must round-trip bit-exact.
+//! Objects preserve insertion order (rendering is deterministic), and
+//! parsing accepts exactly the JSON grammar — no comments, no trailing
+//! commas.
+//!
+//! Numbers come in two variants. An integer literal that fits in `u64`
+//! (no sign, fraction or exponent) parses as the exact [`Json::Int`];
+//! every other number is a [`Json::Num`] `f64`. An `Int` renders
+//! exactly, in decimal, and the two compare equal when they denote the
+//! same value.
 
 /// A JSON value. Objects are ordered key/value lists (insertion order is
 /// preserved through a parse/render round trip).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An exact unsigned integer.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -48,7 +58,16 @@ impl Json {
     /// The numeric value, if a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The exact integer, if an [`Int`](Json::Int).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -69,9 +88,9 @@ impl Json {
         }
     }
 
-    /// Convenience constructor for an integer-valued number.
+    /// Convenience constructor for an exact integer.
     pub fn int(v: u64) -> Json {
-        Json::Num(v as f64)
+        Json::Int(v)
     }
 
     /// Renders compact JSON (no whitespace).
@@ -97,6 +116,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => out.push_str(&n.to_string()),
             Json::Num(n) => out.push_str(&render_number(*n)),
             Json::Str(s) => out.push_str(&escape(s)),
             Json::Arr(items) => {
@@ -144,6 +164,28 @@ impl Json {
     }
 }
 
+/// Values compare structurally, except that numbers compare by value:
+/// an [`Int`](Json::Int) equals a [`Num`](Json::Num) holding exactly
+/// the same integer, so a document equals its own re-parse.
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Int(a), Json::Int(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Int(i), Json::Num(x)) | (Json::Num(x), Json::Int(i)) => {
+                // `u64::MAX as f64` rounds up to 2^64, which no u64 holds.
+                x.fract() == 0.0 && *x >= 0.0 && *x < u64::MAX as f64 && *x as u64 == *i
+            }
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 /// Renders a number the way JSON expects: integers without a fraction,
 /// everything else through Rust's shortest-roundtrip float formatting.
 fn render_number(n: f64) -> String {
@@ -158,7 +200,7 @@ fn render_number(n: f64) -> String {
 }
 
 /// Escapes a string into a quoted JSON string literal.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -394,6 +436,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
+        // Only a bare digit string that fits parses as `u64`: a sign, a
+        // fraction, an exponent or overflow all fall through to `f64`.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             pos: start,
             msg: "bad number",
@@ -462,6 +509,34 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(3.25).render(), "3.25");
-        assert_eq!(Json::int(u64::MAX / 2).render(), parse_json(&Json::int(u64::MAX / 2).render()).unwrap().render());
+        assert_eq!(Json::int(u64::MAX / 2).render(), "9223372036854775807");
+    }
+
+    #[test]
+    fn integers_round_trip_exactly() {
+        for n in [0, (1u64 << 53) + 1, u64::MAX] {
+            let text = Json::int(n).render();
+            assert_eq!(text, n.to_string());
+            assert_eq!(parse_json(&text).expect("parses").as_u64(), Some(n));
+        }
+    }
+
+    #[test]
+    fn as_u64_takes_only_unsigned_integer_literals() {
+        for text in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            let v = parse_json(text).expect("parses");
+            assert_eq!(v.as_u64(), None, "{text} is not a u64");
+            assert!(v.as_f64().is_some(), "{text} is still a number");
+        }
+        assert_eq!(Json::Num(3.0).as_u64(), None);
+    }
+
+    #[test]
+    fn numbers_compare_by_value() {
+        assert_eq!(Json::int(300), Json::Num(300.0));
+        assert_eq!(parse_json("3e2").expect("parses"), parse_json("300").expect("parses"));
+        assert_ne!(Json::int((1u64 << 53) + 1), Json::Num((1u64 << 53) as f64));
+        assert_ne!(Json::int(u64::MAX), Json::Num(u64::MAX as f64));
+        assert_ne!(Json::int(1), Json::Num(-1.0));
     }
 }

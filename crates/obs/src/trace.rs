@@ -9,6 +9,8 @@
 //!
 //! [`EventRing`]: crate::ring::EventRing
 
+use crate::json::Json;
+
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
@@ -121,39 +123,43 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event's payload as a Chrome-trace / JSONL `args`
-    /// object body (the `{...}` without braces is inconvenient, so the
-    /// whole object is returned).
-    pub fn args_json(&self) -> String {
-        match self.kind {
+    /// The event's payload: the `args` object of its Chrome-trace and
+    /// JSONL records.
+    pub fn args(&self) -> Json {
+        let int = |v: u32| Json::int(u64::from(v));
+        let hex = |v: u32| Json::Str(format!("{v:#x}"));
+        let cause = |c: &str| Json::Str(c.into());
+        let fields = match self.kind {
             TraceKind::Fetch { pc, slots } => {
-                format!("{{\"pc\":\"{pc:#x}\",\"slots\":{slots}}}")
+                vec![("pc", hex(pc)), ("slots", int(slots.into()))]
             }
-            TraceKind::BusGrant { port, wait, addr, write } => format!(
-                "{{\"port\":{port},\"wait\":{wait},\"addr\":\"{addr:#x}\",\"write\":{write}}}"
-            ),
-            TraceKind::SeuStrike { landed } => format!("{{\"landed\":{landed}}}"),
-            TraceKind::Quarantine { cause } => {
-                format!("{{\"cause\":{}}}", crate::json::escape(cause))
-            }
+            TraceKind::BusGrant { port, wait, addr, write } => vec![
+                ("port", int(port.into())),
+                ("wait", int(wait)),
+                ("addr", hex(addr)),
+                ("write", Json::Bool(write)),
+            ],
+            TraceKind::SeuStrike { landed } => vec![("landed", Json::Bool(landed))],
+            TraceKind::Quarantine { cause: c } => vec![("cause", cause(c))],
             TraceKind::ShardLease { shard, attempt } => {
-                format!("{{\"shard\":{shard},\"attempt\":{attempt}}}")
+                vec![("shard", int(shard)), ("attempt", int(attempt.into()))]
             }
-            TraceKind::ShardRetry { shard, failures, backoff_ms, cause } => format!(
-                "{{\"shard\":{shard},\"failures\":{failures},\"backoff_ms\":{backoff_ms},\"cause\":{}}}",
-                crate::json::escape(cause)
-            ),
-            TraceKind::ShardSteal { shard } => format!("{{\"shard\":{shard}}}"),
-            TraceKind::ShardQuarantine { shard, cause } => {
-                format!("{{\"shard\":{shard},\"cause\":{}}}", crate::json::escape(cause))
+            TraceKind::ShardRetry { shard, failures, backoff_ms, cause: c } => vec![
+                ("shard", int(shard)),
+                ("failures", int(failures.into())),
+                ("backoff_ms", int(backoff_ms)),
+                ("cause", cause(c)),
+            ],
+            TraceKind::ShardSteal { shard } => vec![("shard", int(shard))],
+            TraceKind::ShardQuarantine { shard, cause: c } => {
+                vec![("shard", int(shard)), ("cause", cause(c))]
             }
             TraceKind::ShardDone { shard, restored } => {
-                format!("{{\"shard\":{shard},\"restored\":{restored}}}")
+                vec![("shard", int(shard)), ("restored", int(restored))]
             }
-            TraceKind::ICacheMiss | TraceKind::DCacheMiss | TraceKind::WatchdogBite => {
-                "{}".to_string()
-            }
-        }
+            TraceKind::ICacheMiss | TraceKind::DCacheMiss | TraceKind::WatchdogBite => Vec::new(),
+        };
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -163,44 +169,46 @@ mod tests {
 
     #[test]
     fn args_render_as_valid_json() {
-        let events = [
-            TraceEvent { cycle: 1, core: Some(0), kind: TraceKind::Fetch { pc: 0x400, slots: 2 } },
-            TraceEvent { cycle: 2, core: None, kind: TraceKind::WatchdogBite },
-            TraceEvent {
-                cycle: 3,
-                core: None,
-                kind: TraceKind::BusGrant { port: 6, wait: 17, addr: 0x100, write: false },
-            },
-            TraceEvent { cycle: 4, core: Some(2), kind: TraceKind::Quarantine { cause: "x\"y" } },
-            TraceEvent {
-                cycle: 5,
-                core: Some(1),
-                kind: TraceKind::ShardLease { shard: 7, attempt: 0 },
-            },
-            TraceEvent {
-                cycle: 6,
-                core: Some(1),
-                kind: TraceKind::ShardRetry {
-                    shard: 7,
-                    failures: 2,
-                    backoff_ms: 12,
-                    cause: "worker panic",
-                },
-            },
-            TraceEvent { cycle: 7, core: None, kind: TraceKind::ShardSteal { shard: 7 } },
-            TraceEvent {
-                cycle: 8,
-                core: None,
-                kind: TraceKind::ShardQuarantine { shard: 7, cause: "hang" },
-            },
-            TraceEvent {
-                cycle: 9,
-                core: Some(0),
-                kind: TraceKind::ShardDone { shard: 7, restored: 3 },
-            },
+        let event = |cycle, core, kind| TraceEvent { cycle, core, kind };
+        let cases = [
+            (event(1, Some(0), TraceKind::Fetch { pc: 0x400, slots: 2 }), r#"{"pc":"0x400","slots":2}"#),
+            (event(2, None, TraceKind::WatchdogBite), "{}"),
+            (
+                event(3, None, TraceKind::BusGrant { port: 6, wait: 17, addr: 0x100, write: false }),
+                r#"{"port":6,"wait":17,"addr":"0x100","write":false}"#,
+            ),
+            (event(4, Some(2), TraceKind::Quarantine { cause: "x\"y" }), r#"{"cause":"x\"y"}"#),
+            (
+                event(5, Some(1), TraceKind::ShardLease { shard: 7, attempt: 0 }),
+                r#"{"shard":7,"attempt":0}"#,
+            ),
+            (
+                event(
+                    6,
+                    Some(1),
+                    TraceKind::ShardRetry {
+                        shard: 7,
+                        failures: 2,
+                        backoff_ms: 12,
+                        cause: "worker panic",
+                    },
+                ),
+                r#"{"shard":7,"failures":2,"backoff_ms":12,"cause":"worker panic"}"#,
+            ),
+            (event(7, None, TraceKind::ShardSteal { shard: 7 }), r#"{"shard":7}"#),
+            (
+                event(8, None, TraceKind::ShardQuarantine { shard: 7, cause: "hang" }),
+                r#"{"shard":7,"cause":"hang"}"#,
+            ),
+            (
+                event(9, Some(0), TraceKind::ShardDone { shard: 7, restored: 3 }),
+                r#"{"shard":7,"restored":3}"#,
+            ),
         ];
-        for e in events {
-            crate::json::parse_json(&e.args_json()).expect("valid args");
+        for (e, want) in cases {
+            let text = e.args().render();
+            assert_eq!(text, want);
+            assert_eq!(crate::json::parse_json(&text).expect("valid args"), e.args());
             assert!(!e.kind.name().is_empty());
         }
     }
