@@ -349,6 +349,42 @@ impl CheckpointConfig {
     }
 }
 
+/// Loads the checkpoint at `path` for exactly `faults`, graded under
+/// `config` (not checked when [`CONFIG_UNBOUND`]), or starts a fresh
+/// one when no file exists there.
+///
+/// # Errors
+///
+/// I/O and format errors, a checkpoint of a different fault list
+/// ([`CheckpointError::FingerprintMismatch`]) or configuration
+/// ([`CheckpointError::ConfigMismatch`]), and a slot count that does
+/// not match the list.
+pub(crate) fn load_or_fresh(
+    path: &Path,
+    faults: &FaultList,
+    config: u64,
+) -> Result<Checkpoint, CheckpointError> {
+    if !path.exists() {
+        return Ok(Checkpoint::with_config(faults, config));
+    }
+    let cp = Checkpoint::load(path)?;
+    let expected = fingerprint(faults);
+    if cp.fingerprint != expected {
+        return Err(CheckpointError::FingerprintMismatch { found: cp.fingerprint, expected });
+    }
+    if config != CONFIG_UNBOUND && cp.config != config {
+        return Err(CheckpointError::ConfigMismatch { found: cp.config, expected: config });
+    }
+    if cp.verdicts.len() != faults.len() {
+        return Err(malformed(&format!(
+            "checkpoint has {} slots for {} faults",
+            cp.verdicts.len(),
+            faults.len()
+        )));
+    }
+    Ok(cp)
+}
+
 /// Outcome of a resumable campaign invocation.
 #[derive(Debug)]
 pub struct ResumableOutcome {
@@ -384,32 +420,8 @@ pub fn resume_campaign_graded(
     threads: usize,
     cfg: &CheckpointConfig,
 ) -> Result<ResumableOutcome, CheckpointError> {
-    let fp = fingerprint(faults);
-    let mut checkpoint = if cfg.path.exists() {
-        let cp = Checkpoint::load(&cfg.path)?;
-        if cp.fingerprint != fp {
-            return Err(CheckpointError::FingerprintMismatch {
-                found: cp.fingerprint,
-                expected: fp,
-            });
-        }
-        if cfg.config != CONFIG_UNBOUND && cp.config != cfg.config {
-            return Err(CheckpointError::ConfigMismatch {
-                found: cp.config,
-                expected: cfg.config,
-            });
-        }
-        if cp.verdicts.len() != faults.len() {
-            return Err(malformed(&format!(
-                "checkpoint has {} slots for {} faults",
-                cp.verdicts.len(),
-                faults.len()
-            )));
-        }
-        cp
-    } else {
-        Checkpoint::with_config(faults, cfg.config)
-    };
+    let mut checkpoint = load_or_fresh(&cfg.path, faults, cfg.config)?;
+    let fp = checkpoint.fingerprint;
     let restored = checkpoint.completed();
 
     let every = cfg.every.max(1);

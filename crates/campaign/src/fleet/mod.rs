@@ -13,11 +13,13 @@
 //!   quarantine ([`LeaseTable`], [`LeasePolicy`], [`ShardFate`]);
 //! * [`chaos`] — the seeded worker-failure injection plane
 //!   ([`WorkerChaos`]: panic / hang / slow / corrupt-result);
-//! * [`orchestrator`] — the thread-pool service ([`run_fleet`]), the
-//!   serial reference ([`run_fleet_serial`]) and the production grader
-//!   ([`ExperimentFleetGrader`]);
-//! * [`process`] — the process-per-worker pool
-//!   ([`run_fleet_process`]) for true crash isolation.
+//! * [`orchestrator`] — the one lease orchestrator (worker threads plus
+//!   a watchdog monitor) with its in-thread shard attempt
+//!   ([`run_fleet`]), the serial reference ([`run_fleet_serial`]) and
+//!   the production grader ([`ExperimentFleetGrader`]);
+//! * [`process`] — the child-process shard attempt
+//!   ([`run_fleet_process`]) for true crash isolation, run by the same
+//!   orchestrator.
 //!
 //! The headline guarantee, asserted over dozens of seeded chaos storms
 //! by the `fleet` test suite: under random injected worker failures

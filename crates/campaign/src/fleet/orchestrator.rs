@@ -1,6 +1,14 @@
 //! The fleet orchestrator: leased shards, worker threads, a watchdog
 //! monitor, and chaos-tolerant result merging.
 //!
+//! There is one orchestrator loop, `orchestrate`: `cfg.workers` worker
+//! threads claim leases and report results while the calling thread
+//! expires stale leases. Both worker pools run through it and differ
+//! only in the *attempt function* that runs one leased shard:
+//! [`run_fleet`] grades it on the worker thread under `catch_unwind`,
+//! and [`run_fleet_process`](super::run_fleet_process) runs it in a
+//! child process that the worker kills when the lease is stolen.
+//!
 //! The headline property (asserted by the `fleet` test suite over
 //! dozens of seeded chaos storms): a [`run_fleet`] invocation under
 //! random injected worker failures **terminates**, never deadlocks,
@@ -30,7 +38,7 @@ use sbst_fault::Verdict;
 use sbst_obs::{FleetTelemetry, TraceEvent, TraceKind, VerdictMix};
 use sbst_stl::WrapError;
 
-use crate::checkpoint::{fnv, Checkpoint};
+use crate::checkpoint::{fnv, load_or_fresh, Checkpoint};
 use crate::experiment::{Experiment, Observation, Snapshot};
 use crate::faultsim::CampaignResult;
 
@@ -137,26 +145,47 @@ impl ShardResult {
     }
 }
 
-/// Counters of what the chaos plane actually did (as opposed to was
-/// configured to do), shared across workers.
+/// Counters of what the chaos plane did and what the attempts graded,
+/// shared across workers.
 #[derive(Default)]
 pub(crate) struct InjectedTally {
-    pub panics: AtomicU64,
-    pub hangs: AtomicU64,
-    pub slows: AtomicU64,
-    pub corruptions: AtomicU64,
+    panics: AtomicU64,
+    hangs: AtomicU64,
+    slows: AtomicU64,
+    corruptions: AtomicU64,
     pub checkpoints_rejected: AtomicU64,
     pub faults_graded: AtomicU64,
 }
 
-/// Outcome of one shard attempt that did not panic.
-pub(crate) enum AttemptOutcome {
+impl InjectedTally {
+    /// Counts one injection of `action` (nothing for
+    /// [`ChaosAction::None`]).
+    pub fn count(&self, action: ChaosAction) {
+        let counter = match action {
+            ChaosAction::None => return,
+            ChaosAction::Panic { .. } => &self.panics,
+            ChaosAction::Hang { .. } => &self.hangs,
+            ChaosAction::Slow => &self.slows,
+            ChaosAction::Corrupt => &self.corruptions,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// How one shard attempt ended.
+pub(crate) enum Attempt {
     /// A sealed (possibly chaos-corrupted) result.
     Sealed(ShardResult),
-    /// The lease was stolen; the attempt stopped cooperatively and
-    /// reports nothing.
+    /// The lease was stolen; the attempt stopped and reports nothing
+    /// (the steal already charged the failure).
     Cancelled,
+    /// The attempt died without a result.
+    Failed(FailureKind),
 }
+
+/// Runs one leased shard attempt and reports how it ended: the one
+/// part of the orchestrator that differs between the worker pools.
+pub(crate) type AttemptFn<'a> = dyn Fn(&Lease, &Shard, &InjectedTally) -> Attempt + Sync + 'a;
 
 /// Per-shard checkpoint path inside a fleet checkpoint directory.
 pub fn shard_checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
@@ -170,6 +199,7 @@ pub fn shard_checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 ///
 /// Panics when the chaos action is an injected panic — callers run it
 /// under `catch_unwind` (thread pool) or in a separate process.
+/// Injections are counted into `tally` as they fire.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_shard(
     plan: &FleetPlan,
@@ -181,7 +211,7 @@ pub(crate) fn execute_shard(
     checkpoint_every: usize,
     cancel: &AtomicBool,
     tally: &InjectedTally,
-) -> AttemptOutcome {
+) -> Attempt {
     let spec = &plan.ecus[shard.ecu];
     let sites = plan.sites(shard);
     let faults = plan.shard_fault_list(shard);
@@ -190,10 +220,10 @@ pub(crate) fn execute_shard(
     let action = chaos.roll(shard.index, attempt, sites.len());
 
     if action == ChaosAction::Slow {
-        tally.slows.fetch_add(1, Ordering::Relaxed);
+        tally.count(action);
         std::thread::sleep(Duration::from_millis(chaos.slow_millis));
         if cancel.load(Ordering::Acquire) {
-            return AttemptOutcome::Cancelled;
+            return Attempt::Cancelled;
         }
     }
 
@@ -202,18 +232,10 @@ pub(crate) fn execute_shard(
     let ckpt_path = checkpoint_dir.map(|d| shard_checkpoint_path(d, shard.index));
     let mut checkpoint = Checkpoint::with_config(&faults, ecu_fp);
     if let Some(path) = ckpt_path.as_deref() {
-        if path.exists() {
-            match Checkpoint::load(path) {
-                Ok(cp)
-                    if cp.fingerprint == checkpoint.fingerprint
-                        && cp.config == ecu_fp
-                        && cp.verdicts.len() == sites.len() =>
-                {
-                    checkpoint = cp;
-                }
-                _ => {
-                    tally.checkpoints_rejected.fetch_add(1, Ordering::Relaxed);
-                }
+        match load_or_fresh(path, &faults, ecu_fp) {
+            Ok(cp) => checkpoint = cp,
+            Err(_) => {
+                tally.checkpoints_rejected.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -223,23 +245,23 @@ pub(crate) fn execute_shard(
     let mut graded = 0usize;
     for (i, &site) in sites.iter().enumerate() {
         if cancel.load(Ordering::Acquire) {
-            return AttemptOutcome::Cancelled;
+            return Attempt::Cancelled;
         }
         if checkpoint.verdicts[i].is_some() {
             continue;
         }
         match action {
             ChaosAction::Panic { after } if graded == after => {
-                tally.panics.fetch_add(1, Ordering::Relaxed);
+                tally.count(action);
                 panic!("chaos: injected worker panic (shard {}, attempt {attempt})", shard.index);
             }
             ChaosAction::Hang { after } if graded == after => {
-                tally.hangs.fetch_add(1, Ordering::Relaxed);
+                tally.count(action);
                 // Hang until the lease is stolen and the monitor
                 // cancels us (process workers are killed instead).
                 loop {
                     if cancel.load(Ordering::Acquire) {
-                        return AttemptOutcome::Cancelled;
+                        return Attempt::Cancelled;
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -267,13 +289,13 @@ pub(crate) fn execute_shard(
         // Flip one verdict *after* sealing: the orchestrator's
         // validation must catch this, or the headline bit-identity
         // property dies.
-        tally.corruptions.fetch_add(1, Ordering::Relaxed);
+        tally.count(action);
         result.verdicts[0] = match result.verdicts[0] {
             Verdict::Undetected => Verdict::Hang,
             _ => Verdict::Undetected,
         };
     }
-    AttemptOutcome::Sealed(result)
+    Attempt::Sealed(result)
 }
 
 /// Fleet orchestrator configuration.
@@ -343,28 +365,22 @@ impl FleetReport {
     }
 }
 
-pub(crate) struct EventLog {
-    pub(crate) start: Instant,
-    pub(crate) events: Mutex<Vec<TraceEvent>>,
+struct EventLog {
+    start: Instant,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl EventLog {
-    pub(crate) fn new() -> EventLog {
+    fn new() -> EventLog {
         EventLog { start: Instant::now(), events: Mutex::new(Vec::new()) }
     }
 
-    pub(crate) fn push(&self, core: Option<u8>, kind: TraceKind) {
+    fn push(&self, core: Option<u8>, kind: TraceKind) {
         let cycle = self.start.elapsed().as_millis() as u64;
         self.events.lock().expect("event log").push(TraceEvent { cycle, core, kind });
     }
 
-    pub(crate) fn fail_event(
-        &self,
-        core: Option<u8>,
-        shard: usize,
-        kind: FailureKind,
-        outcome: FailOutcome,
-    ) {
+    fn fail_event(&self, core: Option<u8>, shard: usize, kind: FailureKind, outcome: FailOutcome) {
         match outcome {
             FailOutcome::Retry { backoff, failures } => self.push(
                 core,
@@ -384,12 +400,12 @@ impl EventLog {
     }
 }
 
-/// Accounts one sealed result of `lease`, for both worker pools. A
-/// valid seal completes the shard and is returned for merging, unless
-/// the lease epoch is stale: the shard was stolen and re-graded, and
-/// the table counts the late result. A broken seal is charged to the
-/// shard as a [`FailureKind::Corrupt`] attempt.
-pub(crate) fn accept_result(
+/// Accounts one sealed result of `lease`. A valid seal completes the
+/// shard and is returned for merging, unless the lease epoch is stale:
+/// the shard was stolen and re-graded, and the table counts the late
+/// result. A broken seal is charged to the shard as a
+/// [`FailureKind::Corrupt`] attempt.
+fn accept_result(
     plan: &FleetPlan,
     table: &LeaseTable,
     log: &EventLog,
@@ -418,7 +434,7 @@ pub(crate) fn accept_result(
 }
 
 /// The verdict mix of every merged shard.
-pub(crate) fn verdict_mix(merged: &[Option<Vec<Verdict>>]) -> VerdictMix {
+fn verdict_mix(merged: &[Option<Vec<Verdict>>]) -> VerdictMix {
     let mut result = CampaignResult::default();
     for &v in merged.iter().flatten().flatten() {
         result.record(v, 1);
@@ -448,6 +464,34 @@ pub fn run_fleet_serial(plan: &FleetPlan, grader: &dyn FleetGrader) -> Vec<Vec<V
 /// [`Quarantined`](ShardFate::Quarantined), and the monitor's lease
 /// expiry bounds how long any failure can stall progress.
 pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) -> FleetReport {
+    orchestrate(plan, cfg, &|lease, shard, tally| {
+        catch_unwind(AssertUnwindSafe(|| {
+            execute_shard(
+                plan,
+                shard,
+                lease.attempt,
+                &cfg.chaos,
+                grader,
+                cfg.checkpoint_dir.as_deref(),
+                cfg.checkpoint_every,
+                &lease.cancel,
+                tally,
+            )
+        }))
+        .unwrap_or(Attempt::Failed(FailureKind::Panic))
+    })
+}
+
+/// The one fleet orchestrator: `cfg.workers` worker threads claim
+/// leases and run `attempt` on each, while the calling thread expires
+/// stale leases (setting their cancel tokens) until every shard is
+/// settled. Valid sealed results are merged; failed attempts are
+/// charged to their shard's retry budget.
+pub(crate) fn orchestrate(
+    plan: &FleetPlan,
+    cfg: &FleetConfig,
+    attempt: &AttemptFn<'_>,
+) -> FleetReport {
     let table = LeaseTable::new(plan.shard_count(), cfg.policy);
     let merged: Mutex<Vec<Option<Vec<Verdict>>>> = Mutex::new(vec![None; plan.shard_count()]);
     let tally = InjectedTally::default();
@@ -473,26 +517,12 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
                         std::thread::sleep(cfg.poll);
                         continue;
                     };
-                    let shard = &plan.shards[lease.shard];
                     log.push(
                         core,
                         TraceKind::ShardLease { shard: lease.shard as u32, attempt: lease.attempt },
                     );
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        execute_shard(
-                            plan,
-                            shard,
-                            lease.attempt,
-                            &cfg.chaos,
-                            grader,
-                            cfg.checkpoint_dir.as_deref(),
-                            cfg.checkpoint_every,
-                            &lease.cancel,
-                            tally,
-                        )
-                    }));
-                    match outcome {
-                        Ok(AttemptOutcome::Sealed(result)) => {
+                    match attempt(&lease, &plan.shards[lease.shard], tally) {
+                        Attempt::Sealed(result) => {
                             let accepted = accept_result(plan, table, log, core, &lease, result);
                             if let Some(result) = accepted {
                                 restored_total
@@ -501,12 +531,10 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
                                     Some(result.verdicts);
                             }
                         }
-                        Ok(AttemptOutcome::Cancelled) => {
-                            // The steal already charged this failure.
-                        }
-                        Err(_) => {
-                            let fail = table.fail(lease.shard, lease.epoch, FailureKind::Panic);
-                            log.fail_event(core, lease.shard, FailureKind::Panic, fail);
+                        Attempt::Cancelled => {}
+                        Attempt::Failed(kind) => {
+                            let fail = table.fail(lease.shard, lease.epoch, kind);
+                            log.fail_event(core, lease.shard, kind, fail);
                         }
                     }
                 }

@@ -5,31 +5,29 @@
 //! kill, `std::process::abort`) would take the whole fleet down. This
 //! pool runs every shard attempt in its **own child process**: the
 //! child grades the shard, writes a sealed [`ShardResult`] file, and
-//! exits; the parent reaps exits, validates seals, and kills children
-//! whose lease expired. A child dying in *any* way — clean panic,
-//! abort, SIGKILL — is just a failed attempt.
+//! exits. A child dying in *any* way — clean panic, abort, SIGKILL —
+//! is just a failed attempt.
 //!
-//! The parent stays a single thread: the children are the parallelism,
-//! and the lease table is the only shared state, so there is nothing
-//! to deadlock on.
+//! The pool is the same orchestrator as the thread pool (see the
+//! [`orchestrator`](super::orchestrator) module docs) with a different
+//! attempt function: each worker thread spawns one child, polls it,
+//! kills it when its lease is stolen, and reads its result file.
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::AtomicBool;
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, Json, TraceKind};
+use sbst_obs::Json;
 
 use crate::checkpoint::{
     field, malformed, parse_record, uint, verdicts_from_json, verdicts_to_json, CheckpointError,
 };
 
-use super::chaos::ChaosAction;
-use super::lease::{FailureKind, Lease, LeaseTable, ShardFate};
+use super::lease::FailureKind;
 use super::orchestrator::{
-    accept_result, execute_shard, verdict_mix, AttemptOutcome, EventLog, FleetConfig, FleetGrader,
-    FleetReport, InjectedTally, ShardResult,
+    execute_shard, orchestrate, Attempt, FleetConfig, FleetGrader, FleetReport, InjectedTally,
+    ShardResult,
 };
 use super::shard::{FleetPlan, Shard};
 
@@ -98,37 +96,33 @@ pub fn execute_shard_standalone(
         &cancel,
         &tally,
     ) {
-        AttemptOutcome::Sealed(result) => result,
-        // The cancel token is never set in a standalone process.
-        AttemptOutcome::Cancelled => unreachable!("standalone shard attempts are never cancelled"),
+        Attempt::Sealed(result) => result,
+        // The cancel token is never set in a standalone process, and
+        // `execute_shard` reports no failure of its own.
+        Attempt::Cancelled | Attempt::Failed(_) => {
+            unreachable!("standalone shard attempts always seal")
+        }
     }
 }
 
 /// Builds the child [`Command`] for one shard attempt. The callback
 /// receives the shard, the attempt number and the path the child must
-/// write its [`ShardResult`] JSON to.
-pub type ShardCommand<'a> = dyn Fn(&Shard, u8, &Path) -> Command + 'a;
-
-struct ActiveChild {
-    child: Child,
-    lease: Lease,
-    shard: usize,
-    out: PathBuf,
-    /// Set when the parent killed this child after a steal: its exit
-    /// has already been accounted for and must not be reported again.
-    killed: bool,
-}
+/// write its [`ShardResult`] JSON to. It is called from the worker
+/// threads, hence `Sync`.
+pub type ShardCommand<'a> = dyn Fn(&Shard, u8, &Path) -> Command + Sync + 'a;
 
 /// Runs the fleet campaign with one **child process per shard
-/// attempt** — the crash-isolated twin of
-/// [`run_fleet`](super::run_fleet), with the same lease / steal /
-/// retry / quarantine semantics. Hung children are killed when their
-/// lease expires; children that die without writing a valid sealed
-/// result are charged as [`FailureKind::WorkerLost`].
+/// attempt**, under the same lease / steal / retry / quarantine
+/// orchestrator as [`run_fleet`](super::run_fleet). Each of the
+/// `cfg.workers` worker threads runs one child at a time: a child
+/// whose lease is stolen is killed, and a child that cannot be spawned
+/// or exits without a readable result file is charged as
+/// [`FailureKind::WorkerLost`].
 ///
-/// Injection counters in the returned telemetry are computed
-/// parent-side from the (pure) chaos rolls, since a crashed child
-/// cannot report what it did.
+/// Injection counters in the returned telemetry count the chaos rolls
+/// as scheduled at spawn, since a crashed child cannot report what it
+/// did; `faults_graded` sums `verdicts.len() - resumed` over every
+/// sealed result a child wrote, and `checkpoints_rejected` stays 0.
 ///
 /// # Errors
 ///
@@ -145,143 +139,53 @@ pub fn run_fleet_process(
         cfg.policy.seed
     ));
     std::fs::create_dir_all(&scratch)?;
-
-    let table = LeaseTable::new(plan.shard_count(), cfg.policy);
-    let mut merged: Vec<Option<Vec<Verdict>>> = vec![None; plan.shard_count()];
-    let log = EventLog::new();
-    let mut active: Vec<ActiveChild> = Vec::new();
-    let mut injected = [0u64; 4]; // panic, hang, slow, corrupt (scheduled)
-    let mut restored_total = 0u64;
-
-    while !table.all_settled() || !active.is_empty() {
-        // 1. Expire stale leases; kill the children that held them.
-        for (shard, outcome) in table.expire_stale() {
-            log.push(None, TraceKind::ShardSteal { shard: shard as u32 });
-            log.fail_event(None, shard, FailureKind::Timeout, outcome);
-            for a in active.iter_mut().filter(|a| a.shard == shard && !a.killed) {
-                let _ = a.child.kill();
-                a.killed = true;
+    let report = orchestrate(plan, cfg, &|lease, shard, tally| {
+        tally.count(cfg.chaos.roll(lease.shard, lease.attempt, shard.len));
+        let out = scratch.join(format!("shard-{:04}-e{}.json", lease.shard, lease.epoch));
+        let _ = std::fs::remove_file(&out);
+        let mut cmd = command(shard, lease.attempt, &out);
+        cmd.stdout(Stdio::null()).stderr(Stdio::null());
+        let Ok(mut child) = cmd.spawn() else {
+            return Attempt::Failed(FailureKind::WorkerLost);
+        };
+        let exited_ok = loop {
+            if lease.cancel.load(Ordering::Acquire) {
+                let _ = child.kill();
+                let _ = child.wait();
+                let _ = std::fs::remove_file(&out);
+                return Attempt::Cancelled;
             }
-        }
-
-        // 2. Reap exited children and account their results.
-        let mut still_active = Vec::new();
-        for mut a in active {
-            let status = match a.child.try_wait() {
-                Ok(Some(status)) => status,
-                Ok(None) => {
-                    still_active.push(a);
-                    continue;
-                }
+            match child.try_wait() {
+                Ok(Some(status)) => break status.success(),
+                Ok(None) => std::thread::sleep(cfg.poll),
                 // Treat a wait error like a lost worker.
-                Err(_) => {
-                    if !a.killed {
-                        let fail = table.fail(a.shard, a.lease.epoch, FailureKind::WorkerLost);
-                        log.fail_event(None, a.shard, FailureKind::WorkerLost, fail);
-                    }
-                    let _ = std::fs::remove_file(&a.out);
-                    continue;
-                }
-            };
-            if a.killed {
-                // Already charged as a timeout steal.
-                let _ = std::fs::remove_file(&a.out);
-                continue;
+                Err(_) => break false,
             }
-            let result = status
-                .success()
-                .then(|| std::fs::read_to_string(&a.out).ok())
-                .flatten()
-                .and_then(|text| ShardResult::from_json(&text).ok());
-            let _ = std::fs::remove_file(&a.out);
-            match result {
-                Some(result) => {
-                    if let Some(result) = accept_result(plan, &table, &log, None, &a.lease, result) {
-                        restored_total += u64::from(result.resumed);
-                        merged[a.shard] = Some(result.verdicts);
-                    }
-                }
-                None => {
-                    // Non-zero exit (panic/abort/signal) or an
-                    // unreadable/torn result file.
-                    let fail = table.fail(a.shard, a.lease.epoch, FailureKind::WorkerLost);
-                    log.fail_event(None, a.shard, FailureKind::WorkerLost, fail);
-                }
+        };
+        // A non-zero exit (panic/abort/signal) or an unreadable/torn
+        // result file is a lost worker.
+        let result = exited_ok
+            .then(|| std::fs::read_to_string(&out).ok())
+            .flatten()
+            .and_then(|text| ShardResult::from_json(&text).ok());
+        let _ = std::fs::remove_file(&out);
+        match result {
+            Some(result) => {
+                let graded = result.verdicts.len().saturating_sub(result.resumed as usize);
+                tally.faults_graded.fetch_add(graded as u64, Ordering::Relaxed);
+                Attempt::Sealed(result)
             }
+            None => Attempt::Failed(FailureKind::WorkerLost),
         }
-        active = still_active;
-
-        // 3. Fill free worker slots with new leases.
-        while active.len() < cfg.workers.max(1) {
-            let Some(lease) = table.claim() else { break };
-            let shard = &plan.shards[lease.shard];
-            log.push(
-                None,
-                TraceKind::ShardLease { shard: lease.shard as u32, attempt: lease.attempt },
-            );
-            match cfg.chaos.roll(lease.shard, lease.attempt, shard.len) {
-                ChaosAction::Panic { .. } => injected[0] += 1,
-                ChaosAction::Hang { .. } => injected[1] += 1,
-                ChaosAction::Slow => injected[2] += 1,
-                ChaosAction::Corrupt => injected[3] += 1,
-                ChaosAction::None => {}
-            }
-            let out = scratch.join(format!("shard-{:04}-e{}.json", lease.shard, lease.epoch));
-            let _ = std::fs::remove_file(&out);
-            let mut cmd = command(shard, lease.attempt, &out);
-            cmd.stdout(Stdio::null()).stderr(Stdio::null());
-            match cmd.spawn() {
-                Ok(child) => active.push(ActiveChild {
-                    child,
-                    shard: lease.shard,
-                    lease,
-                    out,
-                    killed: false,
-                }),
-                Err(_) => {
-                    let fail = table.fail(lease.shard, lease.epoch, FailureKind::WorkerLost);
-                    log.fail_event(None, lease.shard, FailureKind::WorkerLost, fail);
-                }
-            }
-        }
-
-        std::thread::sleep(cfg.poll);
-    }
+    });
     let _ = std::fs::remove_dir_all(&scratch);
-
-    let completed_faults: u64 = plan
-        .shards
-        .iter()
-        .filter(|s| merged[s.index].is_some())
-        .map(|s| s.len as u64)
-        .sum();
-    let elapsed = log.start.elapsed().as_secs_f64();
-    let graded = completed_faults.saturating_sub(restored_total);
-    let telemetry = FleetTelemetry {
-        counters: table.counters(),
-        injected_panics: injected[0],
-        injected_hangs: injected[1],
-        injected_slowdowns: injected[2],
-        injected_corruptions: injected[3],
-        checkpoints_rejected: 0,
-        faults_graded: graded,
-        faults_restored: restored_total,
-        elapsed_secs: elapsed,
-        faults_per_sec: if elapsed > 0.0 { completed_faults as f64 / elapsed } else { 0.0 },
-        mix: verdict_mix(&merged),
-    };
-    let fates = table.fates();
-    debug_assert_eq!(
-        fates.iter().filter(|f| matches!(f, ShardFate::Completed { .. })).count(),
-        merged.iter().filter(|v| v.is_some()).count(),
-        "every completed shard has merged verdicts and vice versa"
-    );
-    Ok(FleetReport { fates, verdicts: merged, telemetry, events: log.events.into_inner().expect("event log") })
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbst_fault::Verdict;
 
     #[test]
     fn shard_result_json_round_trips_and_rejects_torn_files() {
@@ -336,5 +240,75 @@ mod tests {
         assert!(r.is_valid(1, 10, 20));
         r.verdicts[2] = Verdict::Hang;
         assert!(!r.is_valid(1, 10, 20));
+    }
+
+    /// Runs a 3-shard plan whose children never write a result and
+    /// checks that every shard ends quarantined as a lost worker. The
+    /// seed names the scratch directory, so give each test its own.
+    #[cfg(unix)]
+    fn assert_all_workers_lost(seed: u64, command: &ShardCommand<'_>) {
+        use std::time::Duration;
+
+        use sbst_fault::{Element, FaultSite, Polarity, Unit};
+        use sbst_obs::TraceKind;
+
+        use crate::fleet::{EcuSpec, LeasePolicy, ShardFate};
+
+        let sites = (0..6)
+            .map(|i| FaultSite {
+                unit: Unit::Hdcu,
+                instance: i,
+                element: Element::CmpOut,
+                polarity: Polarity::StuckAt0,
+            })
+            .collect();
+        let ecus = EcuSpec::population(Unit::Hdcu).into_iter().take(1).collect();
+        let plan = FleetPlan::build(ecus, vec![sites], 2);
+        assert_eq!(plan.shard_count(), 3);
+        let cfg = FleetConfig {
+            // Long leases: every failure must be the child's, never a
+            // timeout steal.
+            policy: LeasePolicy {
+                max_retries: 1,
+                lease_timeout: Duration::from_secs(60),
+                ..LeasePolicy::fast(seed)
+            },
+            ..FleetConfig::new(2, seed)
+        };
+        let report = run_fleet_process(&plan, &cfg, command).expect("scratch dir");
+        for (i, fate) in report.fates.iter().enumerate() {
+            assert!(
+                matches!(fate, ShardFate::Quarantined { cause: FailureKind::WorkerLost, .. }),
+                "shard {i}: {fate:?}"
+            );
+        }
+        assert!(report.verdicts.iter().all(Option::is_none), "nothing merged");
+        let mut quarantined: Vec<u32> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::ShardQuarantine { shard, cause } => {
+                    assert_eq!(cause, "worker-lost", "shard {shard}");
+                    Some(shard)
+                }
+                _ => None,
+            })
+            .collect();
+        quarantined.sort_unstable();
+        assert_eq!(quarantined, [0, 1, 2], "one quarantine event per shard");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unspawnable_children_are_lost_workers() {
+        assert_all_workers_lost(1, &|_: &Shard, _: u8, _: &Path| {
+            Command::new("/nonexistent/sbst-fleet-worker")
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn children_that_exit_without_a_result_are_lost_workers() {
+        assert_all_workers_lost(2, &|_: &Shard, _: u8, _: &Path| Command::new("true"));
     }
 }

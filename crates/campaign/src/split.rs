@@ -10,10 +10,15 @@
 use std::sync::Arc;
 
 use sbst_cpu::{CoreConfig, CoreKind};
-use sbst_fault::{FaultList, FaultPlane};
-use sbst_soc::SocBuilder;
+use sbst_fault::{FaultList, FaultPlane, FaultSite, Verdict};
+use sbst_mem::FlashImage;
+use sbst_soc::{RunOutcome, Soc, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
-use sbst_stl::{plan_cached, wrap_cached, RoutineEnv, WrapConfig, WrapError};
+use sbst_stl::{
+    plan_cached, wrap_cached, RoutineEnv, WrapConfig, WrapError, RESULT_SIG_OFF, RESULT_STATUS_OFF,
+};
+
+use crate::faultsim::{run_campaign_graded, FaultGrader};
 
 /// Outcome of the split-vs-whole comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +76,36 @@ pub fn split_union_coverage(
     })
 }
 
+/// Grades a fault on one program: detected unless the run halts
+/// cleanly with the golden mailbox.
+struct SplitGrader {
+    builder: SocBuilder,
+    image: Arc<FlashImage>,
+    result_addr: u32,
+    golden: (u32, u32),
+    watchdog: u64,
+}
+
+/// The (signature, status) words of the result mailbox at `addr`.
+fn mailbox(soc: &Soc, addr: u32) -> (u32, u32) {
+    (soc.peek(addr + RESULT_SIG_OFF as u32), soc.peek(addr + RESULT_STATUS_OFF as u32))
+}
+
+impl FaultGrader for SplitGrader {
+    fn grade(&self, site: FaultSite) -> Verdict {
+        let mut soc = self.builder.build_shared(Arc::clone(&self.image));
+        soc.core_mut(0).set_plane(FaultPlane::armed(site));
+        match soc.run(self.watchdog) {
+            RunOutcome::AllHalted { .. } if mailbox(&soc, self.result_addr) == self.golden => {
+                Verdict::Undetected
+            }
+            RunOutcome::AllHalted { .. } => Verdict::WrongSignature,
+            RunOutcome::FatalTrap { .. } => Verdict::UnexpectedTrap,
+            RunOutcome::Watchdog { .. } => Verdict::Hang,
+        }
+    }
+}
+
 /// Per-fault detection vector for one program.
 fn grade_each(
     asm: &sbst_isa::Asm,
@@ -85,37 +120,16 @@ fn grade_each(
         .load(&program)
         .core(CoreConfig::cached(kind, 0, base), 0);
     let image = builder.freeze_image();
-    let golden = {
-        let mut soc = builder.build_shared(Arc::clone(&image));
-        let outcome = soc.run(50_000_000);
-        assert!(outcome.is_clean(), "golden split run: {outcome:?}");
-        (soc.peek(env.result_addr), soc.peek(env.result_addr + 4), soc.cycle())
+    let mut golden = builder.build_shared(Arc::clone(&image));
+    let outcome = golden.run(50_000_000);
+    assert!(outcome.is_clean(), "golden split run: {outcome:?}");
+    let grader = SplitGrader {
+        builder,
+        image,
+        result_addr: env.result_addr,
+        golden: mailbox(&golden, env.result_addr),
+        watchdog: golden.cycle() * 4 + 20_000,
     };
-    let watchdog = golden.2 * 4 + 20_000;
-    let run_one = |plane: FaultPlane| {
-        let mut soc = builder.build_shared(Arc::clone(&image));
-        soc.core_mut(0).set_plane(plane);
-        let outcome = soc.run(watchdog);
-        match outcome {
-            sbst_soc::RunOutcome::AllHalted { .. } => {
-                soc.peek(env.result_addr) != golden.0 || soc.peek(env.result_addr + 4) != golden.1
-            }
-            _ => true, // hang or fatal trap: detected
-        }
-    };
-    let threads = crate::faultsim::resolve_threads(threads);
-    let sites = faults.sites();
-    let mut out = vec![false; sites.len()];
-    let chunk_size = sites.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (chunk, sites) in out.chunks_mut(chunk_size).zip(sites.chunks(chunk_size)) {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                for (o, &site) in chunk.iter_mut().zip(sites) {
-                    *o = run_one(FaultPlane::armed(site));
-                }
-            });
-        }
-    });
-    out
+    let (_, records, _) = run_campaign_graded(&grader, faults, threads);
+    records.iter().map(|&(_, v)| v.is_detected()).collect()
 }

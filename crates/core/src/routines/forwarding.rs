@@ -112,11 +112,6 @@ impl ForwardingTest {
         ForwardingTest { combos, patterns, use_pcs, with64 }
     }
 
-    /// Whether the performance-counter observation is included.
-    pub fn uses_pcs(&self) -> bool {
-        self.use_pcs
-    }
-
     /// Emits one inter-packet dependency template.
     ///
     /// Layout (distance 1, producer slot 0, consumer slot 0, operand A):

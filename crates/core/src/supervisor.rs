@@ -275,11 +275,6 @@ impl Supervisor {
         &self.events
     }
 
-    /// Takes the recorded trace events, leaving the supervisor empty.
-    pub fn take_events(&mut self) -> Vec<sbst_obs::TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Registers core `core`'s STL share. `stl.watchdog` is ignored —
     /// the supervisor owns watchdog policy.
     ///

@@ -337,7 +337,7 @@ impl Core {
     /// equal bus states, evolve identically — *modulo* the deliberately
     /// excluded free-running state: the performance counters and the
     /// issue/raise sequence numbers, including the in-flight copy each
-    /// [`ExInEntry`] carries (all monotone; only their *difference* —
+    /// `ExInEntry` carries (all monotone; only their *difference* —
     /// the imprecision depth — is architecturally visible, and a
     /// difference is invariant across one loop period). The exclusions
     /// are sound only when the compared trajectory never reads a
@@ -433,16 +433,6 @@ impl Core {
             ex_pc: self.ex_in[0].map(|e| e.pc),
             halted: self.halted,
         }
-    }
-
-    /// The instruction TCM (harness loading of TCM-resident code).
-    pub fn itcm_mut(&mut self) -> &mut Tcm {
-        &mut self.itcm
-    }
-
-    /// The data TCM.
-    pub fn dtcm_mut(&mut self) -> &mut Tcm {
-        &mut self.dtcm
     }
 
     /// The fetch unit (cache statistics, debug).

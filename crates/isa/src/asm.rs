@@ -113,16 +113,6 @@ impl Asm {
         self.items.push(Item::Instr(instr));
     }
 
-    /// Appends every instruction of another assembler fragment.
-    ///
-    /// Labels of `other` are *not* imported; fragments must be
-    /// self-contained with respect to control flow.
-    pub fn extend_instrs<I: IntoIterator<Item = Instr>>(&mut self, instrs: I) {
-        for i in instrs {
-            self.emit(i);
-        }
-    }
-
     /// Appends another assembler fragment *including its labels*
     /// (shifted to this assembler's current position). Colliding label
     /// names are reported by [`assemble`](Asm::assemble) as duplicates.

@@ -1,16 +1,4 @@
-//! Instruction definitions and binary encoding.
-//!
-//! Every instruction is a fixed 32-bit word. Field layout (MSB first):
-//!
-//! ```text
-//! R-type : op[31:26] rd[25:21] rs1[20:16] rs2[15:11] func[10:0]
-//! I-type : op[31:26] rd[25:21] rs1[20:16] imm16[15:0]
-//! B-type : op[31:26] rs1[25:21] rs2[20:16] imm16[15:0]   (byte offset, pc-relative)
-//! J-type : op[31:26] rd[25:21] imm21[20:0]               (byte offset, pc-relative)
-//! ```
-//!
-//! Branch and jump offsets are relative to the address of the branch
-//! instruction itself.
+//! Instruction definitions and binary encoding (formats: see [`Instr`]).
 
 use crate::{Csr, Reg};
 
@@ -167,11 +155,19 @@ impl CacheOp {
 
 /// A decoded instruction.
 ///
-/// See the [module documentation](self) for the binary formats. All
-/// instructions are exactly 4 bytes long. Field meanings follow the
-/// assembly notation in each variant's doc comment (`rd` destination,
-/// `rs1`/`rs2`/`src` sources, `base` address register, `off`/`imm`
-/// immediates).
+/// Every instruction is a fixed 32-bit word. Field layout (MSB first):
+///
+/// ```text
+/// R-type : op[31:26] rd[25:21] rs1[20:16] rs2[15:11] func[10:0]
+/// I-type : op[31:26] rd[25:21] rs1[20:16] imm16[15:0]
+/// B-type : op[31:26] rs1[25:21] rs2[20:16] imm16[15:0]   (byte offset, pc-relative)
+/// J-type : op[31:26] rd[25:21] imm21[20:0]               (byte offset, pc-relative)
+/// ```
+///
+/// Branch and jump offsets are relative to the address of the branch
+/// instruction itself. Field meanings follow the assembly notation in
+/// each variant's doc comment (`rd` destination, `rs1`/`rs2`/`src`
+/// sources, `base` address register, `off`/`imm` immediates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // field meanings documented on each variant
 pub enum Instr {
@@ -468,11 +464,6 @@ impl Instr {
             self,
             Instr::Load { .. } | Instr::Store { .. } | Instr::Amoswap { .. }
         )
-    }
-
-    /// Whether this instruction is a load (writes a register from memory).
-    pub fn is_load(self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Amoswap { .. })
     }
 
     /// Whether this instruction may redirect the program counter.

@@ -1,6 +1,6 @@
 //! Assembled program image.
 
-use crate::{DecodeError, Instr};
+use crate::Instr;
 
 /// An assembled, position-fixed program image: a base address plus a
 /// contiguous sequence of 32-bit words (instructions and inline data).
@@ -76,20 +76,6 @@ impl Program {
             return None;
         }
         Some(self.words[((addr - self.base) / 4) as usize])
-    }
-
-    /// Decoded instruction at byte address `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the word is not a valid encoding
-    /// (e.g. it is inline data); addresses outside the image yield
-    /// `Err` with the word reported as `0`.
-    pub fn instr_at(&self, addr: u32) -> Result<Instr, DecodeError> {
-        match self.word_at(addr) {
-            Some(w) => Instr::decode(w),
-            None => Err(DecodeError { word: 0 }),
-        }
     }
 
     /// Pretty disassembly listing of the whole image.

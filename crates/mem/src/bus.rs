@@ -252,11 +252,6 @@ impl Bus {
         self.obs.as_deref()
     }
 
-    /// Detaches and returns the observer, if any.
-    pub fn take_obs(&mut self) -> Option<BusObs> {
-        self.obs.take().map(|b| *b)
-    }
-
     /// Number of master ports.
     pub fn ports(&self) -> usize {
         self.pending.len()

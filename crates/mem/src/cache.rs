@@ -323,16 +323,6 @@ impl Cache {
         self.cfg == other.cfg && self.lines.fast_eq(&other.lines)
     }
 
-    /// Number of copy-on-write pages backing the line array.
-    pub fn cow_pages(&self) -> usize {
-        self.lines.page_count()
-    }
-
-    /// Line-array pages still physically shared with `other`.
-    pub fn cow_shared_with(&self, other: &Cache) -> usize {
-        self.lines.shared_pages_with(&other.lines)
-    }
-
     /// Severs all page sharing (differential-test hook).
     pub fn unshare(&mut self) {
         self.lines.unshare();
@@ -360,13 +350,7 @@ impl Cache {
         let addr = (self.lines.get(idx).tag * self.cfg.sets() + set) * self.cfg.line_bytes
             + 4 * word as u32;
         Some(addr)
-    }
-
-    /// Resets statistics (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-}
+    }}
 
 #[cfg(test)]
 mod tests {
