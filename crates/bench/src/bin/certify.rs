@@ -33,8 +33,8 @@ use sbst_obs::{Json, PortBound};
 use sbst_soc::{ChaosConfig, ObsConfig, SocBuilder};
 use sbst_stl::routines::{ForwardingTest, IcuTest, RegFileTest};
 use sbst_stl::{
-    cycle_budget_for, learn_golden_cached, wrap_cached, RoutineEnv, SelfTestRoutine, WrapConfig,
-    RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_PASS,
+    cycle_budget_for, learn_golden_cached, read_result, wrap_cached, RoutineEnv, SelfTestRoutine,
+    WrapConfig, STATUS_PASS,
 };
 
 /// Flash base the scenario program is assembled at.
@@ -161,8 +161,7 @@ fn main() {
                                 tightest = tightest.min(c);
                             }
                         }
-                        let status = soc.peek(env.result_addr + RESULT_STATUS_OFF as u32);
-                        let sig = soc.peek(env.result_addr + RESULT_SIG_OFF as u32);
+                        let (sig, status) = read_result(&env, 1, |addr| soc.peek(addr));
                         let signature_ok =
                             outcome.is_clean() && status == STATUS_PASS && sig == golden;
                         if intensity == 100 && kind == CoreKind::A && name == &"forwarding+pcs" {

@@ -27,8 +27,8 @@ use sbst_mem::{InjectorProgram, Prng, SeuConfig};
 use sbst_soc::{ChaosConfig, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
 use sbst_stl::{
-    cycle_budget_for, learn_golden_cached, run_self_healing, wrap_cached, CheckMode, HealAction,
-    HealConfig, RoutineEnv, RunReport, WrapConfig, WrapError, RESULT_SIG_OFF, RESULT_STATUS_OFF,
+    cycle_budget_for, learn_golden_cached, read_result, run_self_healing, wrap_cached, CheckMode,
+    HealAction, HealConfig, RoutineEnv, RunReport, WrapConfig, WrapError,
 };
 
 /// Flash base the chaos program is assembled at.
@@ -352,12 +352,8 @@ pub fn run_chaos_campaign(cfg: &ChaosSweepConfig) -> Result<ChaosReport, WrapErr
                         violated |= !b.admits(observed);
                     }
                     cell.bound_violations += u64::from(violated);
-                    RunReport {
-                        outcome,
-                        signature: soc.peek(env.result_addr + RESULT_SIG_OFF as u32),
-                        status: soc.peek(env.result_addr + RESULT_STATUS_OFF as u32),
-                        cycles: soc.cycle(),
-                    }
+                    let (signature, status) = read_result(&env, 1, |addr| soc.peek(addr));
+                    RunReport { outcome, signature, status, cycles: soc.cycle() }
                 });
                 match report.action {
                     HealAction::Clean => cell.clean += 1,

@@ -7,13 +7,12 @@ use std::sync::Arc;
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::CacheConfig;
 use sbst_fault::{FaultPlane, FaultSite, Verdict};
-use sbst_isa::AsmError;
 use sbst_mem::{FlashImage, SRAM_BASE};
 use sbst_soc::{RunOutcome, Scenario, Soc, SocBuilder, StopAt};
 use sbst_stl::routines::GenericAluTest;
 use sbst_stl::{
-    wrap_cached, wrap_sequence, RoutineEnv, SelfTestRoutine, WrapConfig, WrapError,
-    RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE, Terminator,
+    read_result, split_to_fit, wrap_cached, wrap_sequence, RoutineEnv, SelfTestRoutine,
+    Terminator, WrapConfig, WrapError,
 };
 
 /// Builds the (core-kind specific) routine each core of the SoC runs.
@@ -101,7 +100,7 @@ pub struct Observation {
 pub struct Snapshot {
     soc: Soc,
     /// Absolute cycle budget of a warm run: the *same* golden-calibrated
-    /// cutoff (`golden×4 + 20_000`) the cold path passes to `Soc::run`,
+    /// cutoff ([`hang_budget`]) the cold path passes to `Soc::run`,
     /// so the halted-by-the-deadline decision — and with it the hang
     /// verdict — is bit-identical between the two paths. A tighter
     /// budget (1.5× the golden tail) was tried and rejected: the
@@ -139,15 +138,22 @@ pub struct Experiment {
     builder: SocBuilder,
     image: Arc<FlashImage>,
     env_cut: RoutineEnv,
-    /// Result mailboxes of the core under test (several when the routine
-    /// was split into cache-sized parts, paper §III.2.2).
-    cut_mailboxes: Vec<u32>,
+    /// Parts the core under test's routine runs as (more than one when
+    /// it was split into cache-sized parts, paper §III.2.2).
+    parts: usize,
     watchdog: u64,
     /// Fingerprint of the [`ExperimentConfig`] this experiment was
     /// assembled from (see
     /// [`fingerprint_config`](crate::fingerprint_config)) — binds
     /// checkpoints to the exact SoC configuration that graded them.
     config_fp: u64,
+}
+
+/// The hang cutoff of a program whose fault-free run takes
+/// `golden_cycles`: a faulty run still going at `golden×4 + 20_000`
+/// cycles is graded [`Verdict::Hang`].
+pub(crate) fn hang_budget(golden_cycles: u64) -> u64 {
+    golden_cycles * 4 + 20_000
 }
 
 /// Result-mailbox base of core `i` in campaign runs.
@@ -178,25 +184,8 @@ impl Experiment {
         Experiment::assemble_config(factory, &ExperimentConfig::new(kind, style, *scenario))
     }
 
-    /// Like [`assemble`](Experiment::assemble) but with explicit wrapper
-    /// loop-count and invalidation settings (the ablation studies).
-    pub fn assemble_with_wrap(
-        factory: &RoutineFactory<'_>,
-        kind: CoreKind,
-        style: ExecStyle,
-        scenario: &Scenario,
-        iterations: u32,
-        invalidate: bool,
-    ) -> Result<Experiment, WrapError> {
-        let cfg = ExperimentConfig {
-            iterations,
-            invalidate,
-            ..ExperimentConfig::new(kind, style, *scenario)
-        };
-        Experiment::assemble_config(factory, &cfg)
-    }
-
-    /// The fully explicit constructor (cache-geometry studies).
+    /// The fully explicit constructor (wrapper ablations, cache-geometry
+    /// studies).
     ///
     /// # Errors
     ///
@@ -222,7 +211,7 @@ impl Experiment {
         let delays = scenario.start_delays();
         let mut builder = SocBuilder::new();
         let mut env_cut = None;
-        let mut cut_parts = 1usize;
+        let mut parts = 1;
         for (i, &k) in kinds.iter().enumerate() {
             let env = RoutineEnv {
                 result_addr: mailbox(i),
@@ -235,47 +224,17 @@ impl Experiment {
             let routine = factory(k);
             let wrap = WrapConfig { terminator: Terminator::Halt, ..wrap };
             let asm = if i == 0 {
-                match wrap_cached(routine.as_ref(), &env, &wrap, &format!("c{i}")) {
-                    Ok(asm) => asm,
-                    Err(WrapError::TooLarge { .. }) => {
-                        // Split into cache-sized parts run back to back,
-                        // each with its own loading/execution loop and
-                        // mailbox (paper §III.2.2).
-                        let mut parts_asm = None;
-                        for parts in 2..=8usize {
-                            let Some(split) = routine.split(parts) else { break };
-                            let refs: Vec<&dyn SelfTestRoutine> =
-                                split.iter().map(|p| p.as_ref()).collect();
-                            let seq = wrap_sequence(&refs, &env, &wrap, &format!("c{i}"));
-                            if seq.assemble(0).map_err(WrapError::Asm)?.len_bytes()
-                                / split.len()
-                                <= wrap.icache_capacity as usize
-                            {
-                                // Each part individually fits (the
-                                // sequence as a whole need not).
-                                let fits = split.iter().enumerate().all(|(pi, p)| {
-                                    let part_env = RoutineEnv {
-                                        result_addr: env.result_addr + 16 * pi as u32,
-                                        data_base: env.data_base + 0x40 * pi as u32,
-                                        ..env
-                                    };
-                                    wrap_cached(p.as_ref(), &part_env, &wrap, "probe")
-                                        .is_ok()
-                                });
-                                if fits {
-                                    parts_asm = Some((seq, split.len()));
-                                    break;
-                                }
-                            }
-                        }
-                        let (seq, nparts) = parts_asm.ok_or(WrapError::TooLarge {
-                            image_bytes: 0,
-                            capacity: wrap.icache_capacity,
-                        })?;
-                        cut_parts = nparts;
-                        seq
+                match wrap_cached(routine.as_ref(), &env, &wrap, "c0") {
+                    // Split into cache-sized parts run back to back, each
+                    // with its own loading/execution loop and mailbox.
+                    Err(WrapError::TooLarge { image_bytes, .. }) => {
+                        let split = split_to_fit(routine.as_ref(), &env, &wrap, image_bytes)?;
+                        parts = split.len();
+                        let refs: Vec<&dyn SelfTestRoutine> =
+                            split.iter().map(|p| p.as_ref()).collect();
+                        wrap_sequence(&refs, &env, &wrap, "c0")
                     }
-                    Err(e) => return Err(e),
+                    whole => whole?,
                 }
             } else {
                 // The other cores run their share of the STL: the same
@@ -297,7 +256,7 @@ impl Experiment {
                 wrap_sequence(&seq, &env, &wrap, &format!("c{i}"))
             };
             let base = scenario.code_base(i);
-            let program = asm.assemble(base).map_err(AsmError::into_wrap)?;
+            let program = asm.assemble(base)?;
             builder = builder.load(&program);
             // The execution style only applies to the core under test;
             // the other cores run like the application normally does —
@@ -319,14 +278,11 @@ impl Experiment {
             builder = builder.core(cfg, delays[i.min(2)]);
         }
         let image = builder.freeze_image();
-        let env_cut = env_cut.expect("at least one core");
-        let cut_mailboxes =
-            (0..cut_parts).map(|i| env_cut.result_addr + 16 * i as u32).collect();
         let mut exp = Experiment {
             builder,
             image,
-            env_cut,
-            cut_mailboxes,
+            env_cut: env_cut.expect("at least one core"),
+            parts,
             watchdog: 50_000_000,
             config_fp: crate::checkpoint::fingerprint_config(config),
         };
@@ -337,7 +293,7 @@ impl Experiment {
             "golden run must halt cleanly, got {:?}",
             golden.outcome
         );
-        exp.watchdog = golden.cycles * 4 + 20_000;
+        exp.watchdog = hang_budget(golden.cycles);
         Ok(exp)
     }
 
@@ -355,10 +311,8 @@ impl Experiment {
     /// Runs the experiment once with `plane` armed on the core under
     /// test.
     ///
-    /// When the routine was split, the reported signature is the XOR of
-    /// the parts' signatures and the status is `STATUS_DONE` only if
-    /// every part finished (a fault in any part perturbs the combined
-    /// observation exactly as it would the single one).
+    /// When the routine was split, the parts' mailboxes are folded by
+    /// [`read_result`] into one signature and status.
     pub fn run(&self, plane: FaultPlane) -> Observation {
         let mut soc = self.builder.build_shared(Arc::clone(&self.image));
         soc.core_mut(0).set_plane(plane);
@@ -366,32 +320,16 @@ impl Experiment {
         self.observe(&soc, outcome)
     }
 
-    /// The core under test's result-mailbox bases (one per split part).
-    pub(crate) fn mailboxes(&self) -> &[u32] {
-        &self.cut_mailboxes
+    /// Folds the core under test's mailboxes, each word read through
+    /// `peek`, into its `(signature, status)` pair.
+    pub(crate) fn read_result(&self, peek: impl FnMut(u32) -> u32) -> (u32, u32) {
+        read_result(&self.env_cut, self.parts, peek)
     }
 
     /// Reads the core under test's mailboxes and counters off a stopped
     /// SoC.
     pub(crate) fn observe(&self, soc: &Soc, outcome: RunOutcome) -> Observation {
-        let c = soc.core(0).counters();
-        let mut signature = 0u32;
-        let mut status = STATUS_DONE;
-        for (i, &mailbox) in self.cut_mailboxes.iter().enumerate() {
-            signature ^= soc.peek(mailbox + RESULT_SIG_OFF as u32).rotate_left(i as u32);
-            let s = soc.peek(mailbox + RESULT_STATUS_OFF as u32);
-            if s != STATUS_DONE {
-                status = s;
-            }
-        }
-        Observation {
-            outcome,
-            signature,
-            status,
-            cycles: soc.cycle(),
-            if_stalls: c.if_stalls,
-            mem_stalls: c.mem_stalls,
-        }
+        observe(soc, outcome, self.read_result(|addr| soc.peek(addr)))
     }
 
     /// Captures the warm-start [`Snapshot`]: the SoC state immediately
@@ -493,14 +431,20 @@ impl Experiment {
     }
 }
 
-/// Extension: convert assembly errors into wrap errors (they can only
-/// arise from label bugs in generated code).
-trait IntoWrap {
-    fn into_wrap(self) -> WrapError;
-}
-
-impl IntoWrap for AsmError {
-    fn into_wrap(self) -> WrapError {
-        WrapError::Asm(self)
+/// The [`Observation`] of a stopped SoC whose core 0 is under test,
+/// given its folded mailbox words.
+pub(crate) fn observe(
+    soc: &Soc,
+    outcome: RunOutcome,
+    (signature, status): (u32, u32),
+) -> Observation {
+    let c = soc.core(0).counters();
+    Observation {
+        outcome,
+        signature,
+        status,
+        cycles: soc.cycle(),
+        if_stalls: c.if_stalls,
+        mem_stalls: c.mem_stalls,
     }
 }

@@ -9,6 +9,7 @@
 //! unaffected. Worker-thread join failures are aggregated the same way
 //! instead of being `expect`ed.
 
+use std::any::Any;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,7 +99,7 @@ impl std::fmt::Display for CampaignError {
 }
 
 /// Renders a `catch_unwind` payload into a readable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -208,6 +209,32 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// The scoped-thread claim loop of this crate's parallel passes:
+/// `resolve_threads(threads).min(n)` workers pull indices `0..n` from
+/// one counter and run `work` on each. Returns the panic payloads of
+/// workers that died outside `work`'s own isolation.
+pub(crate) fn for_each_claimed(
+    n: usize,
+    threads: usize,
+    work: &(dyn Fn(usize) + Sync),
+) -> Vec<Box<dyn Any + Send>> {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..resolve_threads(threads).min(n))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    work(i);
+                })
+            })
+            .collect();
+        workers.into_iter().filter_map(|w| w.join().err()).collect()
+    })
+}
+
 /// What one pass of the grading core produced.
 pub(crate) struct Graded {
     /// Every verdict slot after the pass (`None` = still ungraded).
@@ -246,47 +273,35 @@ pub(crate) fn grade(
     let todo: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).take(limit).collect();
     let slots = Mutex::new(slots);
     let errors = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    let threads = resolve_threads(threads).min(todo.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = todo.get(t) else { break };
-                let site = sites[i];
-                let verdict = match catch_unwind(AssertUnwindSafe(|| grade(site))) {
-                    Ok(v) => v,
-                    Err(payload) => {
-                        errors.lock().expect("error log").push(CampaignError {
-                            site: Some(site),
-                            index: i,
-                            message: panic_message(payload),
-                        });
-                        Verdict::SimError
-                    }
-                };
-                let snapshot = {
-                    let mut slots = slots.lock().expect("verdict slots");
-                    slots[i] = Some(verdict);
-                    slots.clone()
-                };
-                on_done(&snapshot);
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                // A panic that escaped the per-fault isolation (e.g. in
-                // the engine itself): record it instead of aborting the
-                // whole campaign.
+    let escaped = for_each_claimed(todo.len(), threads, &|t| {
+        let i = todo[t];
+        let site = sites[i];
+        let verdict = match catch_unwind(AssertUnwindSafe(|| grade(site))) {
+            Ok(v) => v,
+            Err(payload) => {
                 errors.lock().expect("error log").push(CampaignError {
-                    site: None,
-                    index: usize::MAX,
+                    site: Some(site),
+                    index: i,
                     message: panic_message(payload),
                 });
+                Verdict::SimError
             }
-        }
+        };
+        let snapshot = {
+            let mut slots = slots.lock().expect("verdict slots");
+            slots[i] = Some(verdict);
+            slots.clone()
+        };
+        on_done(&snapshot);
     });
+    let mut errors = errors.into_inner().expect("error log");
+    // A panic that escaped the per-fault isolation (e.g. in the engine
+    // itself) is recorded instead of aborting the whole campaign.
+    errors.extend(escaped.into_iter().map(|payload| CampaignError {
+        site: None,
+        index: usize::MAX,
+        message: panic_message(payload),
+    }));
     let slots = slots.into_inner().expect("verdict slots");
     let records: Vec<(FaultSite, Verdict)> =
         sites.iter().zip(&slots).filter_map(|(&s, v)| v.map(|v| (s, v))).collect();
@@ -294,7 +309,7 @@ pub(crate) fn grade(
         result: CampaignResult::from_records(&records),
         records,
         slots,
-        errors: errors.into_inner().expect("error log"),
+        errors,
     }
 }
 

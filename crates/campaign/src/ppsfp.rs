@@ -66,10 +66,9 @@ use sbst_isa::{Csr, Instr};
 use sbst_mem::{ArbiterKind, BusOp, Region, ReqKind};
 use sbst_obs::PpsfpTelemetry;
 use sbst_soc::{RunOutcome, Soc, StopAt};
-use sbst_stl::{RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE};
 
 use crate::experiment::{Experiment, Observation, Snapshot};
-use crate::faultsim::{grade, CampaignResult, WarmExperimentGrader};
+use crate::faultsim::{for_each_claimed, grade, CampaignResult, WarmExperimentGrader};
 
 /// Bus master port of the core under test's data side (its
 /// instruction-fetch side is port 0; foreign cores are ports 2+).
@@ -90,12 +89,12 @@ struct RideStep {
 
 /// The recorded golden tail: per-cycle tap events and bus operations
 /// from the warm-start snapshot to the core-under-test halt, plus the
-/// golden mailbox words at that point.
+/// SoC as it stood at that halt.
 struct RideTrace {
     steps: Vec<RideStep>,
-    /// Per mailbox part: (base, golden signature word, golden status).
-    mailboxes: Vec<(u32, u32, u32)>,
-    cut_halt_cycle: u64,
+    /// The golden SoC at the core-under-test halt (lanes read their
+    /// mailboxes off it, overlaid with their memory differences).
+    halted: Soc,
     width: u8,
     kind: CoreKind,
     /// Forwarding-mux delay history at the snapshot (seeds lane
@@ -111,7 +110,7 @@ fn harvest(soc: &mut Soc) -> RideStep {
 /// Runs the golden tail once with the core and bus taps enabled.
 /// Returns `None` if the golden tail fails to halt cleanly (defensive —
 /// the experiment asserts a clean golden run at assembly).
-fn record_ride(experiment: &Experiment, snapshot: &Snapshot) -> Option<RideTrace> {
+fn record_ride(snapshot: &Snapshot) -> Option<RideTrace> {
     let mut soc = snapshot.soc().clone();
     soc.core_mut(0).set_tap(true);
     soc.bus_mut().record_ops(true);
@@ -125,24 +124,12 @@ fn record_ride(experiment: &Experiment, snapshot: &Snapshot) -> Option<RideTrace
     }
     // The halting step ends the run before the hook sees it.
     steps.push(harvest(&mut soc));
-    let mailboxes = experiment
-        .mailboxes()
-        .iter()
-        .map(|&mb| {
-            (
-                mb,
-                soc.peek(mb + RESULT_SIG_OFF as u32),
-                soc.peek(mb + RESULT_STATUS_OFF as u32),
-            )
-        })
-        .collect();
     Some(RideTrace {
         steps,
-        mailboxes,
-        cut_halt_cycle: soc.cycle(),
         width: soc.core(0).forwarding_unit().width(),
         kind: soc.core(0).config().kind,
         delay_seed: *snapshot.soc().core(0).forwarding_unit().delay_state(),
+        halted: soc,
     })
 }
 
@@ -559,6 +546,7 @@ fn lane_exec(
 fn grade_forwarding_word(
     word: &FaultWord,
     trace: &RideTrace,
+    experiment: &Experiment,
     golden: &Observation,
 ) -> Vec<(usize, Verdict)> {
     let mut lanes: Vec<Lane> = word
@@ -590,25 +578,15 @@ fn grade_forwarding_word(
         // The lane reached the core-under-test halt cycle-identically
         // to the golden run; its observation is the golden mailbox
         // state overlaid with its memory differences.
-        let mut signature = 0u32;
-        let mut status = STATUS_DONE;
-        for (i, &(mb, g_sig, g_status)) in trace.mailboxes.iter().enumerate() {
-            let sig = lane.mem.get(&(mb + RESULT_SIG_OFF as u32)).copied().unwrap_or(g_sig);
-            let s = lane
-                .mem
-                .get(&(mb + RESULT_STATUS_OFF as u32))
-                .copied()
-                .unwrap_or(g_status);
-            signature ^= sig.rotate_left(i as u32);
-            if s != STATUS_DONE {
-                status = s;
-            }
-        }
+        let (signature, status) = experiment.read_result(|addr| {
+            lane.mem.get(&addr).copied().unwrap_or_else(|| trace.halted.peek(addr))
+        });
+        let cycles = trace.halted.cycle();
         let obs = Observation {
-            outcome: RunOutcome::AllHalted { cycles: trace.cut_halt_cycle },
+            outcome: RunOutcome::AllHalted { cycles },
             signature,
             status,
-            cycles: trace.cut_halt_cycle,
+            cycles,
             if_stalls: 0,
             mem_stalls: 0,
         };
@@ -778,29 +756,25 @@ pub fn run_campaign_ppsfp_telemetry(
     let ridden: Vec<&FaultWord> =
         words.iter().filter(|w| w.unit() == Unit::Forwarding).collect();
     if !ridden.is_empty() {
-        if let Some(trace) = record_ride(experiment, &snapshot) {
+        if let Some(trace) = record_ride(&snapshot) {
             tel.ridden_words = ridden.len() as u64;
             tel.packed_faults = ridden.iter().map(|w| w.len() as u64).sum();
-            let next = AtomicUsize::new(0);
-            let workers = crate::faultsim::resolve_threads(threads).min(ridden.len());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(word) = ridden.get(t) else { break };
-                        // A panicking word grader (harness defect) only
-                        // demotes its lanes to the serial fallback.
-                        let graded = catch_unwind(AssertUnwindSafe(|| {
-                            grade_forwarding_word(word, &trace, golden)
-                        }))
-                        .unwrap_or_default();
-                        let mut slots = slots.lock().expect("verdict slots");
-                        for (index, verdict) in graded {
-                            slots[index] = Some(verdict);
-                        }
-                    });
+            let escaped = for_each_claimed(ridden.len(), threads, &|t| {
+                // A panicking word grader (harness defect) only demotes
+                // its lanes to the serial fallback.
+                let graded = catch_unwind(AssertUnwindSafe(|| {
+                    grade_forwarding_word(ridden[t], &trace, experiment, golden)
+                }))
+                .unwrap_or_default();
+                let mut slots = slots.lock().expect("verdict slots");
+                for (index, verdict) in graded {
+                    slots[index] = Some(verdict);
                 }
             });
+            if let Some(payload) = escaped.into_iter().next() {
+                // Outside the per-word isolation: a defect of the ride itself.
+                std::panic::resume_unwind(payload);
+            }
         }
     }
     let slots = slots.into_inner().expect("verdict slots");

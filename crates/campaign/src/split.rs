@@ -12,12 +12,11 @@ use std::sync::Arc;
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_fault::{FaultList, FaultPlane, FaultSite, Verdict};
 use sbst_mem::FlashImage;
-use sbst_soc::{RunOutcome, Soc, SocBuilder};
+use sbst_soc::SocBuilder;
 use sbst_stl::routines::ForwardingTest;
-use sbst_stl::{
-    plan_cached, wrap_cached, RoutineEnv, WrapConfig, WrapError, RESULT_SIG_OFF, RESULT_STATUS_OFF,
-};
+use sbst_stl::{plan_cached, read_result, wrap_cached, RoutineEnv, WrapConfig, WrapError};
 
+use crate::experiment::{hang_budget, observe, Experiment, Observation};
 use crate::faultsim::{run_campaign_graded, FaultGrader};
 
 /// Outcome of the split-vs-whole comparison.
@@ -61,8 +60,7 @@ pub fn split_union_coverage(
     // A fault is detected by the plan if any part detects it.
     let mut detected = vec![false; faults.len()];
     for (i, part) in parts.iter().enumerate() {
-        let part_env = RoutineEnv { result_addr: env.result_addr + 16 * i as u32, ..env };
-        let res = grade_each(part, &part_env, kind, faults, threads);
+        let res = grade_each(part, &env.part(i), kind, faults, threads);
         for (d, v) in detected.iter_mut().zip(res) {
             *d |= v;
         }
@@ -76,33 +74,33 @@ pub fn split_union_coverage(
     })
 }
 
-/// Grades a fault on one program: detected unless the run halts
-/// cleanly with the golden mailbox.
-struct SplitGrader {
+/// One single-core program on a cached core.
+struct SplitProgram {
     builder: SocBuilder,
     image: Arc<FlashImage>,
-    result_addr: u32,
-    golden: (u32, u32),
-    watchdog: u64,
+    env: RoutineEnv,
 }
 
-/// The (signature, status) words of the result mailbox at `addr`.
-fn mailbox(soc: &Soc, addr: u32) -> (u32, u32) {
-    (soc.peek(addr + RESULT_SIG_OFF as u32), soc.peek(addr + RESULT_STATUS_OFF as u32))
+impl SplitProgram {
+    /// Runs the program with `plane` armed for at most `watchdog` cycles.
+    fn run(&self, plane: FaultPlane, watchdog: u64) -> Observation {
+        let mut soc = self.builder.build_shared(Arc::clone(&self.image));
+        soc.core_mut(0).set_plane(plane);
+        let outcome = soc.run(watchdog);
+        observe(&soc, outcome, read_result(&self.env, 1, |addr| soc.peek(addr)))
+    }
+}
+
+/// Grades a fault on one program against its golden run.
+struct SplitGrader {
+    program: SplitProgram,
+    golden: Observation,
 }
 
 impl FaultGrader for SplitGrader {
     fn grade(&self, site: FaultSite) -> Verdict {
-        let mut soc = self.builder.build_shared(Arc::clone(&self.image));
-        soc.core_mut(0).set_plane(FaultPlane::armed(site));
-        match soc.run(self.watchdog) {
-            RunOutcome::AllHalted { .. } if mailbox(&soc, self.result_addr) == self.golden => {
-                Verdict::Undetected
-            }
-            RunOutcome::AllHalted { .. } => Verdict::WrongSignature,
-            RunOutcome::FatalTrap { .. } => Verdict::UnexpectedTrap,
-            RunOutcome::Watchdog { .. } => Verdict::Hang,
-        }
+        let faulty = self.program.run(FaultPlane::armed(site), hang_budget(self.golden.cycles));
+        Experiment::classify(&self.golden, &faulty)
     }
 }
 
@@ -120,16 +118,9 @@ fn grade_each(
         .load(&program)
         .core(CoreConfig::cached(kind, 0, base), 0);
     let image = builder.freeze_image();
-    let mut golden = builder.build_shared(Arc::clone(&image));
-    let outcome = golden.run(50_000_000);
-    assert!(outcome.is_clean(), "golden split run: {outcome:?}");
-    let grader = SplitGrader {
-        builder,
-        image,
-        result_addr: env.result_addr,
-        golden: mailbox(&golden, env.result_addr),
-        watchdog: golden.cycle() * 4 + 20_000,
-    };
-    let (_, records, _) = run_campaign_graded(&grader, faults, threads);
+    let program = SplitProgram { builder, image, env: *env };
+    let golden = program.run(FaultPlane::fault_free(), 50_000_000);
+    assert!(golden.outcome.is_clean(), "golden split run: {:?}", golden.outcome);
+    let (_, records, _) = run_campaign_graded(&SplitGrader { program, golden }, faults, threads);
     records.iter().map(|&(_, v)| v.is_detected()).collect()
 }

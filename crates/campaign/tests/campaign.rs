@@ -333,6 +333,33 @@ fn undersized_icache_splits_and_preserves_determinism_and_coverage() {
 }
 
 #[test]
+fn unsplittable_routine_reports_its_real_size_when_it_overflows_the_icache() {
+    use sbst_campaign::ExperimentConfig;
+    use sbst_mem::{CacheConfig, WritePolicy};
+    use sbst_stl::WrapError;
+    // The ICU routine cannot split: on a 256 B I$ assembly must fail and
+    // name the wrapped image's real size.
+    let factory = routines_for(Unit::Icu);
+    let config = ExperimentConfig {
+        icache: CacheConfig {
+            size_bytes: 256,
+            ways: 2,
+            line_bytes: 32,
+            policy: WritePolicy::WriteAllocate,
+        },
+        ..ExperimentConfig::new(CoreKind::A, ExecStyle::CacheWrapped, Scenario::single_core())
+    };
+    match Experiment::assemble_config(&*factory, &config) {
+        Err(WrapError::TooLarge { image_bytes, capacity }) => {
+            assert_eq!(capacity, 256);
+            assert!(image_bytes > capacity as usize, "reported {image_bytes} B");
+        }
+        Err(e) => panic!("expected TooLarge, got {e}"),
+        Ok(_) => panic!("expected TooLarge, the experiment assembled"),
+    }
+}
+
+#[test]
 fn fault_collapsing_preserves_campaign_verdicts() {
     use sbst_fault::collapse;
     // For a sample of equivalence classes with >1 member, every member

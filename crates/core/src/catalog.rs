@@ -15,7 +15,7 @@ use sbst_isa::Program;
 use sbst_mem::SRAM_BASE;
 use sbst_soc::{Soc, SocBuilder};
 
-use crate::routine::{RoutineEnv, SelfTestRoutine, STATUS_FAIL, STATUS_PASS};
+use crate::routine::{RoutineEnv, SelfTestRoutine, RESULT_STATUS_OFF, STATUS_FAIL, STATUS_PASS};
 use crate::sched::{emit_barrier, SchedLayout};
 use crate::wrap::cache::{emit_into, WrapConfig, WrapError};
 use crate::wrap::Terminator;
@@ -318,7 +318,7 @@ impl BootImage {
     pub fn report(&self, soc: &Soc, outcome: sbst_soc::RunOutcome) -> BootReport {
         let mut verdicts = HashMap::new();
         for (name, &(idx, _)) in &self.names {
-            let status = soc.peek(self.mailbox0 + 16 * idx as u32 + 4);
+            let status = soc.peek(self.mailbox0 + 16 * idx as u32 + RESULT_STATUS_OFF as u32);
             let verdict = match status {
                 STATUS_PASS => BootVerdict::Pass,
                 STATUS_FAIL => BootVerdict::Fail,

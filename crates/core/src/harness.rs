@@ -6,7 +6,7 @@ use sbst_fault::FaultPlane;
 use sbst_isa::Asm;
 use sbst_soc::{ChaosConfig, RunOutcome, Soc, SocBuilder};
 
-use crate::routine::{RoutineEnv, SelfTestRoutine, RESULT_SIG_OFF, RESULT_STATUS_OFF};
+use crate::routine::{read_result, RoutineEnv, SelfTestRoutine};
 use crate::wrap::cache::{wrap_cached, WrapConfig, WrapError};
 
 /// Outcome of running one test program on one core.
@@ -94,10 +94,11 @@ pub fn run_chaotic(
 /// Steps `soc` to completion and reads core 0's mailbox.
 pub fn finish(mut soc: Soc, env: &RoutineEnv, max_cycles: u64) -> RunReport {
     let outcome = soc.run(max_cycles);
+    let (signature, status) = read_result(env, 1, |addr| soc.peek(addr));
     RunReport {
         outcome,
-        signature: soc.peek(env.result_addr.wrapping_add(RESULT_SIG_OFF as u32)),
-        status: soc.peek(env.result_addr.wrapping_add(RESULT_STATUS_OFF as u32)),
+        signature,
+        status,
         cycles: soc.cycle(),
     }
 }

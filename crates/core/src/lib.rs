@@ -21,6 +21,11 @@
 //!   multi-core bus contention; with automatic routine splitting when
 //!   the image exceeds the cache ([`plan_cached`]) and the dummy-load
 //!   store transform for no-write-allocate D$ configurations;
+//! * **the wrapped-routine contract**, written once: part `i` of a split
+//!   routine (or routine `i` of a wrapped sequence) publishes and
+//!   scratches at [`RoutineEnv::part`]; [`split_to_fit`] is the one
+//!   search for the fewest cache-sized parts; [`read_result`] folds the
+//!   parts' mailboxes back into one `(signature, status)` pair;
 //! * the competing TCM-based strategy ([`wrap_tcm`], Table IV);
 //! * the decentralized multi-core STL scheduler ([`sched`], after \[13\]);
 //! * run helpers ([`run_standalone`], [`learn_golden_cached`]).
@@ -77,12 +82,12 @@ pub use supervisor::{
     CoreVerdict, DegradedReport, QuarantineCause, Supervisor, SupervisorConfig,
 };
 pub use routine::{
-    emit_pc_anchor, RoutineEnv, SelfTestRoutine, RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE,
-    STATUS_FAIL, STATUS_PASS,
+    emit_pc_anchor, read_result, RoutineEnv, SelfTestRoutine, RESULT_SIG_OFF, RESULT_STATUS_OFF,
+    STATUS_DONE, STATUS_FAIL, STATUS_PASS,
 };
 pub use signature::{emit_accumulate, emit_init, Signature, SIG_REG, SIG_TMP};
 pub use text_routine::TextRoutine;
 pub use wrap::{
-    plan_cached, wrap_cached, wrap_sequence, wrap_tcm, TcmWrapped, Terminator, WrapConfig,
-    WrapError,
+    plan_cached, split_to_fit, wrap_cached, wrap_sequence, wrap_tcm, TcmWrapped, Terminator,
+    WrapConfig, WrapError,
 };

@@ -51,6 +51,17 @@ impl RoutineEnv {
         }
     }
 
+    /// The environment of part `i` of a split routine or of routine `i`
+    /// of a wrapped sequence: it publishes at `result_addr + 16·i` and
+    /// scratches at `data_base + 0x40·i`. Part 0 is `self`.
+    pub fn part(&self, i: usize) -> RoutineEnv {
+        RoutineEnv {
+            result_addr: self.result_addr + 16 * i as u32,
+            data_base: self.data_base + 0x40 * i as u32,
+            ..*self
+        }
+    }
+
     /// Emits a store that honours the write policy: under no-write
     /// allocate a dummy `lw r0` immediately follows so the loading loop
     /// still allocates the line and the execution loop sees no write
@@ -61,6 +72,27 @@ impl RoutineEnv {
             asm.lw(Reg::R0, base, off);
         }
     }
+}
+
+/// Folds the result mailboxes of a routine run as `parts` cache-sized
+/// parts (paper §III.2.2) into one `(signature, status)` observation,
+/// reading each word through `peek`. The signature is the XOR of part
+/// `i`'s signature rotated left by `i`; the status is the last part
+/// status that is not [`STATUS_DONE`] (`STATUS_DONE` when every part
+/// finished), so a fault in any part perturbs the folded observation as
+/// it would the unsplit one. With one part it returns the raw words.
+pub fn read_result(env: &RoutineEnv, parts: usize, mut peek: impl FnMut(u32) -> u32) -> (u32, u32) {
+    let mut signature = 0u32;
+    let mut status = STATUS_DONE;
+    for i in 0..parts {
+        let mailbox = env.part(i).result_addr;
+        signature ^= peek(mailbox.wrapping_add(RESULT_SIG_OFF as u32)).rotate_left(i as u32);
+        let s = peek(mailbox.wrapping_add(RESULT_STATUS_OFF as u32));
+        if s != STATUS_DONE {
+            status = s;
+        }
+    }
+    (signature, status)
 }
 
 /// A boot-time software self-test routine (single-core version).
@@ -126,6 +158,51 @@ mod tests {
         let mut asm = Asm::new();
         env_nwa.emit_store(&mut asm, Reg::R1, Reg::R2, 8);
         assert_eq!(asm.len(), 2, "store + dummy load");
+    }
+
+    #[test]
+    fn parts_publish_and_scratch_at_fixed_strides() {
+        let env = RoutineEnv::for_core(CoreKind::B);
+        let p0 = env.part(0);
+        assert_eq!((p0.result_addr, p0.data_base), (env.result_addr, env.data_base));
+        let p3 = env.part(3);
+        assert_eq!(p3.result_addr, env.result_addr + 48);
+        assert_eq!(p3.data_base, env.data_base + 0xc0);
+        assert_eq!(p3.core_kind, CoreKind::B);
+        assert_eq!(p3.policy, env.policy);
+    }
+
+    /// A mailbox memory of `(address, word)` pairs.
+    fn mailboxes(words: &[(u32, u32)]) -> impl FnMut(u32) -> u32 + '_ {
+        |addr| words.iter().find(|&&(a, _)| a == addr).map_or(0, |&(_, w)| w)
+    }
+
+    #[test]
+    fn one_part_folds_to_the_raw_words() {
+        let env = RoutineEnv::for_core(CoreKind::A);
+        let mb = env.result_addr;
+        for status in [STATUS_PASS, STATUS_FAIL, STATUS_DONE, 0] {
+            let words = [(mb, 0x8000_0001), (mb + 4, status)];
+            assert_eq!(read_result(&env, 1, mailboxes(&words)), (0x8000_0001, status));
+        }
+    }
+
+    #[test]
+    fn parts_fold_rotated_signatures_and_the_last_unfinished_status() {
+        let env = RoutineEnv::for_core(CoreKind::A);
+        let mb = |i: usize| env.part(i).result_addr;
+        let sigs = [0x8000_0001u32, 0x1234_5678, 0xc000_0000];
+        let fold = sigs[0] ^ sigs[1].rotate_left(1) ^ sigs[2].rotate_left(2);
+        let mut words: Vec<(u32, u32)> =
+            (0..3).flat_map(|i| [(mb(i), sigs[i]), (mb(i) + 4, STATUS_DONE)]).collect();
+        assert_eq!(read_result(&env, 3, mailboxes(&words)), (fold, STATUS_DONE));
+        // Parts 0 and 1 did not finish cleanly: the later one wins.
+        words[1].1 = STATUS_FAIL;
+        words[3].1 = 0;
+        assert_eq!(read_result(&env, 3, mailboxes(&words)), (fold, 0));
+        // A status after it that is DONE does not hide it.
+        words[3].1 = STATUS_DONE;
+        assert_eq!(read_result(&env, 3, mailboxes(&words)), (fold, STATUS_FAIL));
     }
 
     #[test]

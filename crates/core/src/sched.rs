@@ -83,7 +83,7 @@ pub fn emit_watchdog_kick(asm: &mut Asm) {
 pub struct CoreStl {
     /// Routines this core runs, in order.
     pub routines: Vec<Box<dyn SelfTestRoutine>>,
-    /// Environment (result mailboxes advance by 16 bytes per routine).
+    /// Environment (routine `i` runs at [`RoutineEnv::part`]`(i)`).
     pub env: RoutineEnv,
     /// Watchdog timeout armed by core 0 and kicked between routines
     /// (`None` = watchdog unused). Must exceed the longest routine's
@@ -120,13 +120,8 @@ pub fn build_stl_program(
     }
     emit_barrier(&mut asm, layout, total_cores, &tag_base);
     for (i, routine) in stl.routines.iter().enumerate() {
-        let env = RoutineEnv {
-            result_addr: stl.env.result_addr + 16 * i as u32,
-            data_base: stl.env.data_base + 0x40 * i as u32,
-            ..stl.env
-        };
         let cfg = WrapConfig { terminator: Terminator::Fallthrough, ..*wrap };
-        emit_into(&mut asm, routine.as_ref(), &env, &cfg, &format!("{tag_base}_r{i}"));
+        emit_into(&mut asm, routine.as_ref(), &stl.env.part(i), &cfg, &format!("{tag_base}_r{i}"));
         if stl.watchdog.is_some() && core_id == 0 {
             emit_watchdog_kick(&mut asm);
         }

@@ -39,7 +39,7 @@ use sbst_soc::{ChaosConfig, RunOutcome, Soc, SocBuilder};
 
 use crate::bound::BoundWatchdog;
 use crate::harness::derive_cycle_budget;
-use crate::routine::{RoutineEnv, RESULT_STATUS_OFF, STATUS_PASS};
+use crate::routine::{RESULT_STATUS_OFF, STATUS_PASS};
 use crate::sched::{
     emit_barrier, emit_watchdog_arm, emit_watchdog_kick, CoreStl, SchedLayout,
 };
@@ -375,16 +375,12 @@ impl Supervisor {
         }
         emit_barrier(&mut asm, &self.cfg.layout, n_active, &tag);
         for (i, routine) in sup.stl.routines.iter().enumerate() {
-            let env = RoutineEnv {
-                result_addr: sup.stl.env.result_addr + 16 * i as u32,
-                data_base: sup.stl.env.data_base + 0x40 * i as u32,
-                ..sup.stl.env
-            };
             let cfg = WrapConfig {
                 expected_sig: Some(sup.goldens[i]),
                 terminator: Terminator::Fallthrough,
                 ..self.cfg.wrap
             };
+            let env = sup.stl.env.part(i);
             emit_into(&mut asm, routine.as_ref(), &env, &cfg, &format!("{tag}_r{i}"));
             if kicker {
                 emit_watchdog_kick(&mut asm);
@@ -418,11 +414,12 @@ impl Supervisor {
         if soc.peek(self.done_addr(core)) != 1 {
             return Err(QuarantineCause::WatchdogBite);
         }
+        // Every routine's status is read on its own, not folded: a fold
+        // keeps only the last non-DONE status, and a later PASS would
+        // hide an earlier FAIL.
         let sup = &self.cores[&core];
         for i in 0..sup.stl.routines.len() {
-            let status = soc.peek(
-                sup.stl.env.result_addr + 16 * i as u32 + RESULT_STATUS_OFF as u32,
-            );
+            let status = soc.peek(sup.stl.env.part(i).result_addr + RESULT_STATUS_OFF as u32);
             if status != STATUS_PASS {
                 return Err(QuarantineCause::SignatureMismatch);
             }
@@ -439,14 +436,9 @@ impl Supervisor {
             let mut goldens = Vec::with_capacity(sup.stl.routines.len());
             for i in 0..sup.stl.routines.len() {
                 let sup = &self.cores[&core];
-                let env = RoutineEnv {
-                    result_addr: sup.stl.env.result_addr + 16 * i as u32,
-                    data_base: sup.stl.env.data_base + 0x40 * i as u32,
-                    ..sup.stl.env
-                };
                 let golden = crate::harness::learn_golden_cached(
                     sup.stl.routines[i].as_ref(),
-                    &env,
+                    &sup.stl.env.part(i),
                     &self.cfg.wrap,
                     sup.stl.env.core_kind,
                     0x1000,

@@ -186,8 +186,8 @@ pub(crate) fn emit_into(
 
 /// Emits several wrapped routines back-to-back into one program
 /// (fallthrough between them, `halt` at the end) — the shape of one
-/// core's share of a boot-time STL. Routine `i` publishes into
-/// `env.result_addr + 16*i` and scratches at `env.data_base + 0x40*i`.
+/// core's share of a boot-time STL. Routine `i` runs at
+/// [`env.part(i)`](RoutineEnv::part).
 pub fn wrap_sequence(
     routines: &[&dyn SelfTestRoutine],
     env: &RoutineEnv,
@@ -195,22 +195,49 @@ pub fn wrap_sequence(
     tag: &str,
 ) -> Asm {
     let mut asm = Asm::new();
+    let cfg = WrapConfig { terminator: Terminator::Fallthrough, ..*cfg };
     for (i, routine) in routines.iter().enumerate() {
-        let env = RoutineEnv {
-            result_addr: env.result_addr + 16 * i as u32,
-            data_base: env.data_base + 0x40 * i as u32,
-            ..*env
-        };
-        let cfg = WrapConfig { terminator: crate::wrap::Terminator::Fallthrough, ..*cfg };
-        emit_into(&mut asm, *routine, &env, &cfg, &format!("{tag}_s{i}"));
+        emit_into(&mut asm, *routine, &env.part(i), &cfg, &format!("{tag}_s{i}"));
     }
     asm.halt();
     asm
 }
 
-/// Wraps `routine`, splitting it into smaller self-test procedures when
-/// the wrapped image exceeds the cache (paper §III.2.2). Each part `i`
-/// publishes into `env.result_addr + 16*i`.
+/// The split-to-fit search (paper §III.2.2) for a routine whose wrapped
+/// image of `image_bytes` overflows `cfg.icache_capacity`: the fewest
+/// parts, from 2 up to 8, that `routine` splits into such that every
+/// part wrapped at [`env.part(i)`](RoutineEnv::part) fits the cache.
+///
+/// # Errors
+///
+/// [`WrapError::TooLarge`] with `image_bytes` when the routine cannot
+/// split or no supported split fits.
+pub fn split_to_fit(
+    routine: &dyn SelfTestRoutine,
+    env: &RoutineEnv,
+    cfg: &WrapConfig,
+    image_bytes: usize,
+) -> Result<Vec<Box<dyn SelfTestRoutine>>, WrapError> {
+    for parts in 2..=8usize {
+        let Some(split) = routine.split(parts) else { break };
+        let wrapped: Result<Vec<Asm>, WrapError> = split
+            .iter()
+            .enumerate()
+            .map(|(i, part)| wrap_cached(part.as_ref(), &env.part(i), cfg, "probe"))
+            .collect();
+        match wrapped {
+            Ok(_) => return Ok(split),
+            Err(WrapError::TooLarge { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Err(WrapError::TooLarge { image_bytes, capacity: cfg.icache_capacity })
+}
+
+/// Wraps `routine`, splitting it with [`split_to_fit`] when the wrapped
+/// image exceeds the cache. Part `i` runs at
+/// [`env.part(i)`](RoutineEnv::part); read the parts' mailboxes back
+/// with [`read_result`](crate::read_result).
 ///
 /// # Errors
 ///
@@ -223,33 +250,14 @@ pub fn plan_cached(
     tag: &str,
 ) -> Result<Vec<Asm>, WrapError> {
     match wrap_cached(routine, env, cfg, tag) {
-        Ok(asm) => Ok(vec![asm]),
-        Err(WrapError::TooLarge { image_bytes, capacity }) => {
-            for parts in 2..=8usize {
-                let Some(split) = routine.split(parts) else { break };
-                let mut out = Vec::with_capacity(parts);
-                let mut ok = true;
-                for (i, part) in split.iter().enumerate() {
-                    let part_env = RoutineEnv {
-                        result_addr: env.result_addr + 16 * i as u32,
-                        ..*env
-                    };
-                    let part_tag = format!("{tag}_p{i}");
-                    match wrap_cached(part.as_ref(), &part_env, cfg, &part_tag) {
-                        Ok(asm) => out.push(asm),
-                        Err(WrapError::TooLarge { .. }) => {
-                            ok = false;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if ok {
-                    return Ok(out);
-                }
-            }
-            Err(WrapError::TooLarge { image_bytes, capacity })
+        Err(WrapError::TooLarge { image_bytes, .. }) => {
+            let parts = split_to_fit(routine, env, cfg, image_bytes)?;
+            parts
+                .iter()
+                .enumerate()
+                .map(|(i, p)| wrap_cached(p.as_ref(), &env.part(i), cfg, &format!("{tag}_p{i}")))
+                .collect()
         }
-        Err(e) => Err(e),
+        whole => whole.map(|asm| vec![asm]),
     }
 }

@@ -3,7 +3,7 @@
 pub(crate) mod cache;
 mod tcm;
 
-pub use cache::{plan_cached, wrap_cached, wrap_sequence, WrapConfig, WrapError};
+pub use cache::{plan_cached, split_to_fit, wrap_cached, wrap_sequence, WrapConfig, WrapError};
 pub use tcm::{wrap_tcm, TcmWrapped};
 
 /// How a wrapped routine ends.
