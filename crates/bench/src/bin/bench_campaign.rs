@@ -17,8 +17,10 @@
 //! * `smoke` — CI mode: a tiny fault list, asserts verdict equivalence
 //!   only (no timing assertions — CI machines are noisy).
 //! * `ppsfp [--smoke|--quick|--standard]` — PPSFP-focused CI step: warm
-//!   vs PPSFP only, asserting verdict parity always and a PPSFP-beats-
-//!   warm speedup when the machine has ≥ [`MIN_CORES`] cores.
+//!   vs PPSFP only, asserting verdict parity always, that the loop proof
+//!   decides at least [`SMOKE_DECIDED_HANGS`] hangs in the smoke tier (a
+//!   count, so it holds on any host), and a PPSFP-beats-warm speedup
+//!   when the machine has ≥ [`MIN_CORES`] cores.
 
 use std::time::Instant;
 
@@ -38,6 +40,12 @@ use sbst_soc::Scenario;
 /// BENCH_campaign.json before the PPSFP tier landed — the fixed
 /// baseline the ≥ 5× acceptance floor is asserted against.
 const WARM_BASELINE_FPS: f64 = 192.84;
+
+/// Hangs the PPSFP fallback's loop proof decides in the `ppsfp --smoke`
+/// tier, as recorded when the proof landed (the tier's every hang):
+/// the speed gate that runs on every host, because it counts instead
+/// of timing.
+const SMOKE_DECIDED_HANGS: u64 = 12;
 
 /// Speedup assertions only fire on machines with at least this many
 /// cores: PPSFP grades words concurrently, and a starved runner would
@@ -184,6 +192,7 @@ fn main() {
                     "loop_short_circuits".into(),
                     Json::int(ppsfp_tel.loop_short_circuits),
                 ),
+                ("loop_refusals".into(), Json::int(ppsfp_tel.loop_refusals)),
             ]),
         ),
         ("verdicts_equivalent".into(), Json::Bool(true)),
@@ -258,6 +267,13 @@ fn ppsfp_mode(tier: &str) {
         warm_t.seconds, warm_t.faults_per_sec, ppsfp_t.seconds, ppsfp_t.faults_per_sec
     );
     println!("telemetry: {telemetry}");
+    if tier == "--smoke" {
+        assert!(
+            telemetry.loop_short_circuits >= SMOKE_DECIDED_HANGS,
+            "the loop proof must decide >= {SMOKE_DECIDED_HANGS} hangs, decided {}",
+            telemetry.loop_short_circuits
+        );
+    }
     if cores() >= MIN_CORES {
         assert!(
             speedup >= 2.0,

@@ -16,6 +16,8 @@
 //! Its one library item is [`merge_bench_json`], the merge every bench
 //! that records results in `BENCH_campaign.json` goes through.
 
+use std::process::Command;
+
 use sbst_obs::{parse_json, Json};
 
 /// The results file the campaign benches (`bench_campaign`,
@@ -36,16 +38,42 @@ fn merge_fields(existing: Option<&str>, fields: Vec<(String, Json)>) -> Json {
     doc
 }
 
+/// The host a result is measured on: its core count, the compiler
+/// (`rustc -V`) and the checked-out commit (`"unknown"` where a tool
+/// cannot tell).
+fn host() -> Json {
+    let output = |cmd: &str, args: &[&str]| {
+        Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    };
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    Json::Obj(vec![
+        (
+            "nproc".into(),
+            Json::int(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
+        ),
+        ("rustc".into(), Json::Str(output(&rustc, &["-V"]))),
+        ("commit".into(), Json::Str(output("git", &["rev-parse", "HEAD"]))),
+    ])
+}
+
 /// Merges `fields` into `BENCH_campaign.json` in the working directory
 /// and writes it back: each field replaces the top-level field of the
 /// same name and every other field — the other benches' sections — is
 /// kept. A fresh object is started when the file is absent, unparsable
-/// or not an object.
+/// or not an object. Every merge stamps the top-level `host` field
+/// with the machine it ran on.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn merge_bench_json(fields: Vec<(String, Json)>) {
+pub fn merge_bench_json(mut fields: Vec<(String, Json)>) {
+    fields.push(("host".into(), host()));
     let existing = std::fs::read_to_string(BENCH_JSON).ok();
     let doc = merge_fields(existing.as_deref(), fields);
     std::fs::write(BENCH_JSON, doc.render_pretty(2)).expect("write BENCH_campaign.json");

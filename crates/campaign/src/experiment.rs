@@ -106,9 +106,11 @@ pub struct Snapshot {
     /// budget (1.5× the golden tail) was tried and rejected: the
     /// equivalence suite found faults that *finish* at 2.4–2.8× golden
     /// (e.g. a stuck EPC bit re-executing code after every trap), which
-    /// such a budget misclassifies as hangs. The fast path's win comes
+    /// such a budget misclassifies as hangs. The warm path's win comes
     /// from skipping the prefix and from the early core-under-test halt
-    /// exit, not from cutting hangs short.
+    /// exit, not from cutting hangs short; the PPSFP fallback's loop
+    /// proof decides hangs early only by proving they reach this very
+    /// budget.
     budget: u64,
 }
 
@@ -373,8 +375,8 @@ impl Experiment {
     }
 
     /// [`run_warm`](Experiment::run_warm) with a per-step `hook` (see
-    /// [`Soc::run_until`]) — how the PPSFP fallback adds its livelock
-    /// short-circuit to the warm path.
+    /// [`Soc::run_until`]) — how the PPSFP fallback adds its loop proof
+    /// to the warm path.
     pub(crate) fn run_tail(
         &self,
         snapshot: &Snapshot,

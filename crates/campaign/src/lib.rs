@@ -19,7 +19,7 @@
 //!   - [`run_campaign_warm_detailed`] — warm start from the
 //!     golden-prefix [`Snapshot`];
 //!   - [`run_campaign_ppsfp_telemetry`] — bit-parallel fault words on
-//!     one golden ride, warm fallback with a livelock short-circuit;
+//!     one golden ride, warm fallback with a loop proof that decides hangs;
 //!   - [`run_campaign_graded`] / [`run_campaign_graded_telemetry`] —
 //!     any [`FaultGrader`], optionally with progress telemetry;
 //!   - [`resume_campaign`] / [`resume_campaign_graded`] — checkpointed
@@ -31,7 +31,7 @@
 //! step/stop loop, [`Soc::run_until`](sbst_soc::Soc::run_until): the
 //! cold path stops when all cores halt, the warm tail, the PPSFP ride
 //! and its fallback when the core under test halts, and the ride's tap
-//! harvest and the fallback's livelock check are per-step hooks.
+//! harvest and the fallback's loop proof are per-step hooks.
 //!
 //! ## Example: grade a few ICU faults
 //!

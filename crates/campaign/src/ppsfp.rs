@@ -35,13 +35,28 @@
 //! very things the ride assumes frozen — so their words are graded
 //! serially as whole-word fallbacks.
 //!
-//! The serial fallback itself gets a *livelock short-circuit*: once past
-//! the golden cycle count, exact state repetition
-//! ([`Soc::loop_state_eq`]) is detected with a Brent-style doubling
-//! anchor and verified over one full period (no performance-counter CSR
-//! reads, no MMIO traffic, state equal again), after which the run is
-//! classified [`Verdict::Hang`] immediately instead of burning the
-//! remaining tail budget.
+//! The serial fallback has one per-step hook, the *loop proof*. A
+//! faulty run that never halts spins until the watchdog budget runs
+//! out; most such runs are a loop whose counter the fault corrupted, so
+//! the state never repeats exactly — only core-0 registers run on. Once
+//! past the golden cycle count and with every foreign core halted, a
+//! Brent-style doubling anchor looks for two states one period `P` apart
+//! that are equal under [`Soc::loop_state_diff`] except for a set of
+//! core-0 registers. The proof then replays that period once on a
+//! tapped clone (refused on any MMIO access), keeping only the events
+//! the differing registers can reach, and carries those registers
+//! forward, period after period, up to the budget, as one [`Lane`] over
+//! the recording: the same fall-off rules that guard the ride refuse
+//! the proof the moment a register-derived value would reach an
+//! address, a jump target, a CSR write, a trap cause or a branch
+//! direction, and a period that leaves memory differing is refused too.
+//! Performance-counter reads advance by each period's count. A lane
+//! that survives to the budget proves the run reaches it without
+//! halting, so the run ends with the watchdog outcome at the budget
+//! ([`Verdict::Hang`]) without simulating the rest. Exact repetition is
+//! the case where no register differs. The proof is exact, never
+//! extrapolated: every remaining period is replayed, over its slice,
+//! instead of simulated with [`Soc::step`].
 //!
 //! Verdict equivalence with the serial warm path — over full collapsed
 //! lists, forced fallbacks included — is pinned by
@@ -50,7 +65,7 @@
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sbst_cpu::{
@@ -74,11 +89,8 @@ use crate::faultsim::{for_each_claimed, grade, CampaignResult, WarmExperimentGra
 /// instruction-fetch side is port 0; foreign cores are ports 2+).
 const CUT_DATA_PORT: usize = 1;
 
-/// Initial Brent window (cycles an anchor is held before re-anchoring).
-const LOOP_WINDOW: u64 = 64;
-
 // ---------------------------------------------------------------------
-// Ride trace: one tapped golden tail run, recorded once per campaign.
+// Rides: tapped stretches of core-0 execution that lanes replay.
 // ---------------------------------------------------------------------
 
 /// Events of one SoC cycle of the golden ride.
@@ -87,19 +99,38 @@ struct RideStep {
     ops: Vec<BusOp>,
 }
 
+/// The facts of core 0's datapath lane replay needs.
+#[derive(Debug, Clone, Copy)]
+struct Datapath {
+    width: u8,
+    kind: CoreKind,
+}
+
+impl Datapath {
+    fn of(soc: &Soc) -> Datapath {
+        let core = soc.core(0);
+        Datapath { width: core.forwarding_unit().width(), kind: core.config().kind }
+    }
+}
+
 /// The recorded golden tail: per-cycle tap events and bus operations
 /// from the warm-start snapshot to the core-under-test halt, plus the
 /// SoC as it stood at that halt.
 struct RideTrace {
     steps: Vec<RideStep>,
+    datapath: Datapath,
     /// The golden SoC at the core-under-test halt (lanes read their
     /// mailboxes off it, overlaid with their memory differences).
     halted: Soc,
-    width: u8,
-    kind: CoreKind,
     /// Forwarding-mux delay history at the snapshot (seeds lane
     /// reconstruction of `MuxPathDelay` faults).
     delay_seed: [u64; 6],
+}
+
+/// Turns on the core-0 and bus taps of `soc`.
+fn tap(soc: &mut Soc) {
+    soc.core_mut(0).set_tap(true);
+    soc.bus_mut().record_ops(true);
 }
 
 /// Drains the core and bus taps: the events of the step just simulated.
@@ -107,13 +138,13 @@ fn harvest(soc: &mut Soc) -> RideStep {
     RideStep { events: soc.core_mut(0).take_tap_events(), ops: soc.bus_mut().take_ops() }
 }
 
+
 /// Runs the golden tail once with the core and bus taps enabled.
 /// Returns `None` if the golden tail fails to halt cleanly (defensive —
 /// the experiment asserts a clean golden run at assembly).
 fn record_ride(snapshot: &Snapshot) -> Option<RideTrace> {
     let mut soc = snapshot.soc().clone();
-    soc.core_mut(0).set_tap(true);
-    soc.bus_mut().record_ops(true);
+    tap(&mut soc);
     let mut steps = Vec::new();
     let outcome = soc.run_until(snapshot.budget(), StopAt::CoreHalted(0), |soc| {
         steps.push(harvest(soc));
@@ -126,8 +157,7 @@ fn record_ride(snapshot: &Snapshot) -> Option<RideTrace> {
     steps.push(harvest(&mut soc));
     Some(RideTrace {
         steps,
-        width: soc.core(0).forwarding_unit().width(),
-        kind: soc.core(0).config().kind,
+        datapath: Datapath::of(&soc),
         delay_seed: *snapshot.soc().core(0).forwarding_unit().delay_state(),
         halted: soc,
     })
@@ -170,6 +200,9 @@ struct LatchDiff {
     alu: Option<u64>,
     /// Lane store/swap payload, if it differs from golden.
     wdata: Option<u32>,
+    /// What a performance-counter CSR read returns on top of the
+    /// recorded value (see [`Lane::drift`]).
+    csr: Option<u32>,
 }
 
 /// One fault lane riding the golden trace.
@@ -202,19 +235,35 @@ struct Lane {
     /// The in-flight swap's write difference was applied at grant time
     /// (bus swaps); private TCM swaps apply it at the WB mux instead.
     swap_applied: bool,
+    /// How far each performance counter (in [`counter`] order) runs
+    /// ahead of the recording: zero on the golden ride, whole periods'
+    /// worth of counts when the loop proof replays a period again.
+    drift: [u32; 5],
+}
+
+/// Index of a performance-counter CSR in [`Lane::drift`].
+fn counter(csr: Csr) -> Option<usize> {
+    [Csr::Cycles, Csr::Retired, Csr::IfStalls, Csr::MemStalls, Csr::HazStalls]
+        .iter()
+        .position(|&c| c == csr)
 }
 
 /// Signals that a lane's differences escaped the data-only regime and
 /// the lane must fall back to the serial path.
 struct FallOff;
 
+/// Lane `instance` of a fault outside the forwarding unit: it faults no
+/// mux the lane re-evaluates.
+const NO_MUX: u16 = u16::MAX;
+
 impl Lane {
     fn new(index: usize, site: FaultSite, seed: &[u64; 6]) -> Lane {
+        let instance = MuxFault::of(site).instance;
         Lane {
             index,
-            instance: site.instance,
+            instance,
             fault: (site.element, site.polarity),
-            last_out: seed.get(site.instance as usize).copied().unwrap_or(0),
+            last_out: seed.get(instance as usize).copied().unwrap_or(0),
             regs: RegDiff::default(),
             exmem: [None; 2],
             memwb: [None; 2],
@@ -224,6 +273,7 @@ impl Lane {
             mem: HashMap::new(),
             swap_overlay: None,
             swap_applied: false,
+            drift: [0; 5],
         }
     }
 
@@ -280,8 +330,9 @@ impl Lane {
 /// lane diverged architecturally and must be re-graded serially.
 fn lane_step(
     lane: &mut Lane,
-    step: &RideStep,
-    trace: &RideTrace,
+    events: &[TapEvent],
+    ops: &[BusOp],
+    dp: Datapath,
     union: &mut HashMap<u32, u64>,
     bit: u64,
 ) -> Result<(), FallOff> {
@@ -290,10 +341,10 @@ fn lane_step(
     lane.fwd_ex = [lane.exmem[0].and_then(|l| l.alu), lane.exmem[1].and_then(|l| l.alu)];
     lane.fwd_wb = lane.memwb;
 
-    for ev in &step.events {
+    for ev in events {
         match *ev {
             TapEvent::WbCommit { pipe, dest, value } => {
-                let lane_v = lane.memwb[pipe].take();
+                let lane_v = lane.memwb[pipe as usize].take();
                 if let Some((base, is64)) = dest {
                     let lv = lane_v.unwrap_or(value);
                     if base != 0 {
@@ -305,9 +356,10 @@ fn lane_step(
                 }
             }
             TapEvent::WbMux { pipe, inputs, sel, out, mem } => {
-                lane_wb_mux(lane, union, bit, trace, pipe, &inputs, sel, out, mem)?;
+                lane_wb_mux(lane, union, bit, dp, pipe as usize, &inputs, sel as usize, out, mem)?;
             }
             TapEvent::ExOperand { slot, operand, rf_src, inputs, sel, out } => {
+                let (slot, operand, sel) = (slot as usize, operand as usize, sel.map(usize::from));
                 let mut li = inputs;
                 if let Some((base, is64)) = rf_src {
                     li[SRC_RF] = lane.read_src(inputs[SRC_RF], base, is64);
@@ -324,31 +376,37 @@ fn lane_step(
                 }
                 let id = operand_mux_id(slot, operand);
                 let lane_out = if id == lane.instance {
-                    mux_eval(&li, sel, trace.width, Some(lane.fault), &mut lane.last_out)
+                    mux_eval(&li, sel, dp.width, Some(lane.fault), &mut lane.last_out)
                 } else if li != inputs {
                     let mut dummy = 0;
-                    mux_eval(&li, sel, trace.width, None, &mut dummy)
+                    mux_eval(&li, sel, dp.width, None, &mut dummy)
                 } else {
                     out
                 };
                 lane.ops[slot][operand] = (lane_out != out).then_some(lane_out);
             }
             TapEvent::ExExec { slot, instr, ops, alu: _, mem, raise: _, .. } => {
+                let slot = slot as usize;
                 let lane_ops = [
                     lane.ops[slot][0].take().unwrap_or(ops[0]),
                     lane.ops[slot][1].take().unwrap_or(ops[1]),
                 ];
-                lane.exmem[slot] = if lane_ops == ops {
+                lane.exmem[slot] = if let Some(Instr::CsrRead { csr, .. }) = instr {
+                    counter(csr)
+                        .map(|i| lane.drift[i])
+                        .filter(|&d| d != 0)
+                        .map(|d| LatchDiff { csr: Some(d), ..LatchDiff::default() })
+                } else if lane_ops == ops {
                     None
                 } else {
-                    let latch = lane_exec(trace.kind, instr, ops, lane_ops, mem)?;
+                    let latch = lane_exec(dp.kind, instr, ops, lane_ops, mem)?;
                     (latch.alu.is_some() || latch.wdata.is_some()).then_some(latch)
                 };
             }
         }
     }
 
-    for op in &step.ops {
+    for op in ops {
         match op.port {
             CUT_DATA_PORT => {
                 if let ReqKind::Swap(golden_w) = op.kind {
@@ -389,7 +447,7 @@ fn lane_wb_mux(
     lane: &mut Lane,
     union: &mut HashMap<u32, u64>,
     bit: u64,
-    trace: &RideTrace,
+    dp: Datapath,
     pipe: usize,
     inputs: &[u64; 3],
     sel: usize,
@@ -400,7 +458,7 @@ fn lane_wb_mux(
     let mut li = [
         latch.alu.unwrap_or(inputs[WB_SRC_ALU]),
         inputs[WB_SRC_MEM],
-        inputs[WB_SRC_CSR],
+        latch.csr.map_or(inputs[WB_SRC_CSR], |d| (inputs[WB_SRC_CSR] as u32).wrapping_add(d) as u64),
     ];
     if let Some(op) = mem {
         match op.kind {
@@ -437,10 +495,10 @@ fn lane_wb_mux(
     }
     let id = wb_mux_id(pipe);
     let lane_out = if id == lane.instance {
-        mux_eval(&li, Some(sel), trace.width, Some(lane.fault), &mut lane.last_out)
+        mux_eval(&li, Some(sel), dp.width, Some(lane.fault), &mut lane.last_out)
     } else if li[..] != inputs[..] {
         let mut dummy = 0;
-        mux_eval(&li, Some(sel), trace.width, None, &mut dummy)
+        mux_eval(&li, Some(sel), dp.width, None, &mut dummy)
     } else {
         out
     };
@@ -565,7 +623,7 @@ fn grade_forwarding_word(
             if alive & bit == 0 {
                 continue;
             }
-            if lane_step(lane, step, trace, &mut union, bit).is_err() {
+            if lane_step(lane, &step.events, &step.ops, trace.datapath, &mut union, bit).is_err() {
                 alive &= !bit;
             }
         }
@@ -596,126 +654,460 @@ fn grade_forwarding_word(
 }
 
 // ---------------------------------------------------------------------
-// Serial fallback with livelock short-circuit
+// Serial fallback: the loop proof
 // ---------------------------------------------------------------------
 
-enum LoopProbe {
-    /// State repeats over one verified period: the run can never halt.
-    Confirmed,
-    /// The loop body reads excluded free-running state (counter CSRs or
-    /// MMIO) — periodicity of the visible state proves nothing.
-    Tainted,
-    /// The anchor match was a coincidence; keep simulating.
-    NotPeriodic,
+/// Initial Brent window (cycles an anchor is held before re-anchoring).
+const LOOP_WINDOW: u64 = 64;
+
+/// Longest loop period the proof records, in cycles: it bounds the
+/// tapped replay one fallback run holds (the HDCU hangs of the
+/// cache-wrapped routines repeat every 1.1–1.3 k cycles).
+const MAX_PERIOD: u64 = 2048;
+
+/// Hang proofs decided and refused over one campaign's fallback runs.
+#[derive(Default)]
+struct LoopTally {
+    decided: AtomicU64,
+    refused: AtomicU64,
 }
 
-fn counter_csr(csr: Csr) -> bool {
-    matches!(csr, Csr::Cycles | Csr::Retired | Csr::IfStalls | Csr::MemStalls | Csr::HazStalls)
-}
-
-/// Verifies a candidate period by re-simulating one period on a tapped
-/// clone: the loop must not read a performance-counter CSR on any core,
-/// must not touch MMIO, and must land on the same state again.
-fn verify_loop(soc: &Soc, period: u64) -> LoopProbe {
-    let mut probe = soc.clone();
-    for i in 0..probe.core_count() {
-        probe.core_mut(i).set_tap(true);
-    }
-    probe.bus_mut().record_ops(true);
-    for _ in 0..period {
-        probe.step();
-        for i in 0..probe.core_count() {
-            for ev in probe.core_mut(i).take_tap_events() {
-                if let TapEvent::ExExec { instr: Some(Instr::CsrRead { csr, .. }), .. } = ev {
-                    if counter_csr(csr) {
-                        return LoopProbe::Tainted;
-                    }
-                }
-            }
-        }
-        for op in probe.bus_mut().take_ops() {
-            if op.words().any(|a| Region::of(a) == Region::Mmio) {
-                return LoopProbe::Tainted;
-            }
-        }
-    }
-    if probe.loop_state_eq(soc) {
-        LoopProbe::Confirmed
-    } else {
-        LoopProbe::NotPeriodic
-    }
-}
-
-/// The livelock short-circuit, run as the per-step hook of a warm tail
-/// (see [`Soc::run_until`]): once past the golden cycle count, a
-/// Brent-style doubling anchor watches for exact state repetition; a
-/// verified loop ends the run with the watchdog outcome immediately
-/// (verdict-identical — a looping run can only ever end by budget
-/// exhaustion or watchdog bite, both `Hang`).
-struct Livelock<'a> {
-    /// Off for good once the loop body proved tainted — and from the
-    /// start under TDMA, whose slotting depends on the absolute cycle
-    /// (excluded from the state comparison), or a chaos plane, whose
-    /// nondeterministic state lies outside it. Both disable detection,
-    /// never correctness.
+/// The loop proof, run as the per-step hook of a fallback tail (see
+/// [`Soc::run_until`]). Once past the golden cycle count, with every
+/// foreign core halted, a Brent-style doubling anchor looks for a state
+/// equal to the anchor modulo core-0 registers; [`prove`] then decides
+/// the candidate. A proved loop ends the run with the watchdog outcome
+/// at the budget — exactly what simulating on would return, bar an
+/// earlier bite of the memory-mapped watchdog (its countdown is outside
+/// the compared state), which is graded [`Verdict::Hang`] all the same.
+struct LoopProof<'a> {
+    /// Off under TDMA, whose slotting depends on the absolute cycle
+    /// (excluded from the state comparison), and under a chaos plane,
+    /// whose nondeterministic state lies outside it. Both disable the
+    /// proof, never correctness.
     detect: bool,
     golden_cycles: u64,
-    budget: u64,
+    deadline: u64,
+    site: FaultSite,
     anchor: Option<Soc>,
-    anchor_cycle: u64,
     window: u64,
-    hits: &'a AtomicUsize,
+    /// No candidate is taken before this cycle: a refused proof showed
+    /// the run follows the candidate's pattern up to there, and a
+    /// refusal for any reason doubles the wait.
+    resume: u64,
+    backoff: u64,
+    tally: &'a LoopTally,
 }
 
-impl<'a> Livelock<'a> {
-    fn new(snapshot: &Snapshot, golden_cycles: u64, hits: &'a AtomicUsize) -> Livelock<'a> {
-        let soc = snapshot.soc();
-        Livelock {
+impl<'a> LoopProof<'a> {
+    /// The proof for a tail from `soc` with `site` armed, looking for
+    /// loops past `golden_cycles`; the tail's budget ends at the
+    /// absolute cycle `deadline`.
+    fn new(
+        soc: &Soc,
+        golden_cycles: u64,
+        deadline: u64,
+        site: FaultSite,
+        tally: &'a LoopTally,
+    ) -> LoopProof<'a> {
+        LoopProof {
             detect: !matches!(soc.bus().arbiter_kind(), ArbiterKind::Tdma { .. })
                 && !soc.has_chaos(),
             golden_cycles,
-            budget: snapshot.budget(),
+            deadline,
+            site,
             anchor: None,
-            anchor_cycle: 0,
             window: LOOP_WINDOW,
-            hits,
+            resume: 0,
+            backoff: LOOP_WINDOW,
+            tally,
         }
-    }
-
-    fn reanchor(&mut self, soc: &Soc) {
-        self.anchor = Some(soc.clone());
-        self.anchor_cycle = soc.cycle();
     }
 
     fn check(&mut self, soc: &Soc) -> ControlFlow<RunOutcome> {
-        if !self.detect || soc.cycle() <= self.golden_cycles {
+        let cycle = soc.cycle();
+        if !self.detect
+            || cycle <= self.golden_cycles.max(self.resume)
+            || !(1..soc.core_count()).all(|i| soc.core(i).halted())
+        {
             return ControlFlow::Continue(());
         }
-        match &self.anchor {
-            None => self.reanchor(soc),
-            Some(a) if soc.loop_state_eq(a) => {
-                match verify_loop(soc, soc.cycle() - self.anchor_cycle) {
-                    LoopProbe::Confirmed => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return ControlFlow::Break(RunOutcome::Watchdog { cycles: self.budget });
-                    }
-                    LoopProbe::Tainted => {
-                        self.detect = false;
-                        self.anchor = None;
-                    }
-                    LoopProbe::NotPeriodic => {
-                        self.reanchor(soc);
-                        self.window *= 2;
-                    }
+        let Some(anchor) = &self.anchor else {
+            self.anchor = Some(soc.clone());
+            return ControlFlow::Continue(());
+        };
+        if let Some(differing) = soc.loop_state_diff(anchor) {
+            match prove(anchor, soc, differing, self.site, self.deadline) {
+                Ok(()) => {
+                    self.tally.decided.fetch_add(1, Ordering::Relaxed);
+                    return ControlFlow::Break(RunOutcome::Watchdog { cycles: self.deadline });
+                }
+                Err(at) => {
+                    self.tally.refused.fetch_add(1, Ordering::Relaxed);
+                    self.anchor = None;
+                    self.resume = at.max(cycle + self.backoff);
+                    self.backoff *= 2;
                 }
             }
-            Some(_) if soc.cycle() - self.anchor_cycle >= self.window => {
-                self.reanchor(soc);
-                self.window *= 2;
-            }
-            Some(_) => {}
+        } else if cycle - anchor.cycle() >= self.window {
+            self.anchor = Some(soc.clone());
+            self.window = (self.window * 2).min(MAX_PERIOD);
         }
         ControlFlow::Continue(())
+    }
+}
+
+/// Where a lane may hold differences, one bit per place: registers
+/// 0–31, then the operand latches, the EX/MEM and MEM/WB entries, and
+/// the faulted mux's delay history (an over-approximation — a lane's
+/// actual differences always lie inside it).
+#[derive(Debug, Clone, Copy)]
+struct Taint(u64);
+
+/// [`Taint`] bit of operand latch `(slot, operand)` (plus `2·slot +
+/// operand`), of EX/MEM and MEM/WB entry `pipe` (plus `pipe`), and of the
+/// faulted mux's delay history.
+const T_OPS: u8 = 32;
+const T_EXMEM: u8 = 36;
+const T_MEMWB: u8 = 38;
+const T_LAST_OUT: u8 = 40;
+
+impl Taint {
+    fn get(self, bit: u8) -> bool {
+        self.0 >> bit & 1 == 1
+    }
+
+    fn set(&mut self, bit: u8, on: bool) {
+        self.0 = self.0 & !(1 << bit) | u64::from(on) << bit;
+    }
+
+    /// Whether a register-file read of `base` (paired when `is64`, as
+    /// [`Lane::read_src`] pairs) may differ.
+    fn reg(self, base: u8, is64: bool) -> bool {
+        self.get(base) || is64 && base.is_multiple_of(2) && base < 31 && self.get(base + 1)
+    }
+
+    /// Advances the taint over one recorded step's events, mirroring
+    /// [`lane_step`] for a lane armed with `fault` whose memory may differ
+    /// only at the word addresses in `words` (which tainted stores
+    /// extend): appends to `kept` the events such a lane must replay —
+    /// every other event leaves it unchanged.
+    fn slice(
+        &mut self,
+        events: &[TapEvent],
+        fault: &MuxFault,
+        words: &mut Vec<u32>,
+        kept: &mut Vec<TapEvent>,
+    ) {
+        let fwd = [
+            self.get(T_EXMEM),
+            self.get(T_EXMEM + 1),
+            self.get(T_MEMWB),
+            self.get(T_MEMWB + 1),
+        ];
+        for &ev in events {
+            let keep = match ev {
+                TapEvent::WbCommit { pipe, dest, .. } => {
+                    let t = self.get(T_MEMWB + pipe);
+                    self.set(T_MEMWB + pipe, false);
+                    let mut keep = t;
+                    if let Some((base, is64)) = dest {
+                        let lo = (base != 0).then_some(base);
+                        for r in lo.into_iter().chain((is64 && base < 31).then_some(base + 1)) {
+                            keep |= self.get(r);
+                            self.set(r, t);
+                        }
+                    }
+                    keep
+                }
+                TapEvent::WbMux { pipe, sel, mem, .. } => {
+                    let t = self.get(T_EXMEM + pipe);
+                    // A load, store or swap at a word that may differ reads
+                    // it, or writes it back towards the recorded value.
+                    let word = mem.is_some_and(|op| words.contains(&op.addr));
+                    let mut inputs = [t; 3];
+                    inputs[WB_SRC_MEM] = word;
+                    let (out, keep) =
+                        self.mux(wb_mux_id(pipe as usize), &inputs, Some(sel as usize), fault);
+                    let keep = keep || word || self.get(T_MEMWB + pipe);
+                    self.set(T_EXMEM + pipe, false);
+                    self.set(T_MEMWB + pipe, out);
+                    keep
+                }
+                TapEvent::ExOperand { slot, operand, rf_src, sel, .. } => {
+                    let o = T_OPS + 2 * slot + operand;
+                    let mut inputs = [false; 5];
+                    inputs[SRC_RF] = rf_src.is_some_and(|(base, is64)| self.reg(base, is64));
+                    inputs[SRC_EXMEM_P0] = fwd[0];
+                    inputs[SRC_EXMEM_P1] = fwd[1];
+                    inputs[SRC_MEMWB_P0] = fwd[2];
+                    inputs[SRC_MEMWB_P1] = fwd[3];
+                    let id = operand_mux_id(slot as usize, operand as usize);
+                    let (out, keep) = self.mux(id, &inputs, sel.map(usize::from), fault);
+                    let keep = keep || self.get(o);
+                    self.set(o, out);
+                    keep
+                }
+                TapEvent::ExExec { slot, instr, mem, .. } => {
+                    let counter_read = matches!(instr,
+                        Some(Instr::CsrRead { csr, .. }) if counter(csr).is_some());
+                    let t = self.get(T_OPS + 2 * slot)
+                        || self.get(T_OPS + 2 * slot + 1)
+                        || counter_read;
+                    // A store whose operands may differ writes the recorded
+                    // address (or the lane falls off) with data that may.
+                    if let (true, Some(op)) = (t, mem) {
+                        if op.kind != MemOpKind::Load && !words.contains(&op.addr) {
+                            words.push(op.addr);
+                        }
+                    }
+                    let keep = t || self.get(T_EXMEM + slot);
+                    self.set(T_OPS + 2 * slot, false);
+                    self.set(T_OPS + 2 * slot + 1, false);
+                    self.set(T_EXMEM + slot, t);
+                    keep
+                }
+            };
+            if keep {
+                kept.push(ev);
+            }
+        }
+    }
+
+    /// One evaluation of mux `id` whose `inputs` may differ as given:
+    /// whether its output may differ, and whether a lane must replay it
+    /// (also to track the delay history a path-delay fault reads).
+    fn mux(&mut self, id: u16, inputs: &[bool], sel: Option<usize>, fault: &MuxFault) -> (bool, bool) {
+        let taint = |s: Option<usize>| s.is_some_and(|s| inputs[s]);
+        if id != fault.instance {
+            return (taint(sel), taint(sel));
+        }
+        let out = taint(sel) || taint(fault.leak) || fault.delay && self.get(T_LAST_OUT);
+        if fault.delay {
+            self.set(T_LAST_OUT, taint(sel));
+        }
+        (out, out || fault.delay)
+    }
+}
+
+/// The lane's faulted mux, as far as slicing needs it.
+struct MuxFault {
+    /// Its mux instance ([`NO_MUX`] for a fault elsewhere).
+    instance: u16,
+    /// The source a select stem or select branch fault lets through
+    /// besides the selected one.
+    leak: Option<usize>,
+    /// Whether the fault reads the mux's delay history back.
+    delay: bool,
+}
+
+impl MuxFault {
+    fn of(site: FaultSite) -> MuxFault {
+        if site.unit != Unit::Forwarding {
+            return MuxFault { instance: NO_MUX, leak: None, delay: false };
+        }
+        let leak = match site.element {
+            Element::MuxSelStem { src } | Element::MuxSelBranch { src, .. } => Some(src as usize),
+            _ => None,
+        };
+        let delay = matches!(site.element, Element::MuxPathDelay { .. });
+        MuxFault { instance: site.instance, leak, delay }
+    }
+}
+
+/// One recorded loop period, sliced to the events a lane needs, and
+/// what it changes from one period to the next outside the registers.
+/// Kept steps are stored flat, so a recording is a few allocations.
+struct Period {
+    datapath: Datapath,
+    /// Events of the kept steps, in order.
+    events: Vec<TapEvent>,
+    /// Bus operations of the kept steps that touch a word whose memory
+    /// may differ (no other can make a lane fall off).
+    ops: Vec<BusOp>,
+    /// Per kept step: its step of the period (0 = the first) and where
+    /// its events and operations end.
+    steps: Vec<(u64, usize, usize)>,
+    /// Core-0 registers at the period's end.
+    end: [u32; 32],
+    /// How much each performance counter advances per period.
+    counts: [u32; 5],
+    /// Whether the period reads a performance counter (then no two
+    /// periods repeat exactly).
+    reads_counter: bool,
+    /// Where a lane starting inside the given taint may differ at the
+    /// period's end, memory aside.
+    taint: Taint,
+}
+
+/// Records the period from `anchor` on a tapped clone, slicing each
+/// step as it comes (see [`Taint::slice`]) for a lane armed with `site`
+/// that starts inside `taint` with no memory difference. `None` when
+/// the period touches MMIO, whose registers (the watchdog countdown
+/// among them) lie outside the compared state.
+fn record_period(anchor: &Soc, period: u64, mut taint: Taint, site: FaultSite) -> Option<Period> {
+    let fault = MuxFault::of(site);
+    let mut probe = anchor.clone();
+    tap(&mut probe);
+    // A dual-issue step emits at most ten events (two commits, two
+    // writeback muxes, four operand muxes, two executes); a slice keeps
+    // far fewer. The reservation stays under the C allocator's default
+    // large-block threshold (128 KiB): freeing a larger block raises that
+    // threshold process-wide and leaves more freed memory resident.
+    let mut events = Vec::with_capacity((period as usize * 10).min(2048));
+    let (mut ops, mut steps, mut words) = (Vec::new(), Vec::with_capacity(period as usize), Vec::new());
+    let mut reads_counter = false;
+    for phase in 0..period {
+        probe.step();
+        let step = harvest(&mut probe);
+        if step.ops.iter().any(|op| op.words().any(|a| Region::of(a) == Region::Mmio)) {
+            return None;
+        }
+        reads_counter |= step.events.iter().any(|ev| {
+            matches!(ev, TapEvent::ExExec { instr: Some(Instr::CsrRead { csr, .. }), .. }
+                if counter(*csr).is_some())
+        });
+        let before = (events.len(), ops.len());
+        taint.slice(&step.events, &fault, &mut words, &mut events);
+        ops.extend(step.ops.into_iter().filter(|op| op.words().any(|a| words.contains(&a))));
+        if (events.len(), ops.len()) != before {
+            steps.push((phase, events.len(), ops.len()));
+        }
+    }
+    let count = |soc: &Soc| {
+        let c = soc.core(0).counters();
+        [c.cycles, c.retired, c.if_stalls, c.mem_stalls, c.haz_stalls]
+    };
+    let (from, to) = (count(anchor), count(&probe));
+    Some(Period {
+        datapath: Datapath::of(&probe),
+        events,
+        ops,
+        steps,
+        end: *probe.core(0).regs(),
+        counts: std::array::from_fn(|i| to[i].wrapping_sub(from[i]) as u32),
+        reads_counter,
+        taint,
+    })
+}
+
+/// Decides a loop candidate: `soc` is loop-state equal to `anchor`, one
+/// period earlier, except for the core-0 registers in the mask
+/// `differing`. `Ok` proves that the
+/// run from `soc` reaches `deadline` without halting, trapping fatally
+/// or leaving the loop; `Err(cycle)` refuses, naming the first cycle the
+/// proof cannot vouch for.
+///
+/// One lane, armed with `site`, replays the recorded period over and
+/// over from `soc`'s register differences, up to the deadline. Between
+/// periods the lane's registers are rebased from the period's end state
+/// onto its start state; nothing else needs rebasing, because the two
+/// are equal everywhere else. The performance counters are the one
+/// free-running state a period can read: the trajectory repeats, so
+/// they advance by the same count every period, and the lane adds that
+/// many periods' worth to each counter read. The lane falls off — and
+/// the proof is refused — where a register-derived value reaches an
+/// address, a jump target, a CSR write, a trap cause or a branch
+/// direction; a period that leaves store data differing is refused as
+/// well. A lane whose differences all vanish at a period boundary, in a
+/// period that reads no counter, has reached exact repetition, which
+/// runs to the deadline by determinism.
+///
+/// The recording keeps only the events that can carry a difference (see
+/// [`Taint::slice`]), which holds while the lane's differences at each
+/// period start lie inside the taint the slice started from, with no
+/// memory difference — checked at every boundary. The taint starts at
+/// the differing registers and is widened, with the period re-recorded,
+/// until the taint a period ends in lies within it.
+fn prove(
+    anchor: &Soc,
+    soc: &Soc,
+    differing: u32,
+    site: FaultSite,
+    deadline: u64,
+) -> Result<(), u64> {
+    let period = soc.cycle() - anchor.cycle();
+    let (start, now) = (anchor.core(0).regs(), soc.core(0).regs());
+    let mut taint = Taint(differing.into());
+    let recorded = loop {
+        let recorded = record_period(anchor, period, taint, site).ok_or(soc.cycle())?;
+        let next = recorded.taint.0 | u64::from(differing);
+        if next & !taint.0 == 0 {
+            break recorded;
+        }
+        taint = Taint(taint.0 | next);
+    };
+    let delay = anchor.core(0).forwarding_unit().delay_state();
+    let mut lane = Lane::new(0, site, delay);
+    for (r, &v) in now.iter().enumerate() {
+        lane.regs.commit(r as u8, v, start[r]);
+    }
+    let mut union = HashMap::new();
+    for periods in 0.. {
+        let base = soc.cycle() + periods * period;
+        if base >= deadline {
+            break;
+        }
+        if periods > 0 {
+            for r in 0..32u8 {
+                let v = lane.regs.get(r).unwrap_or(recorded.end[r as usize]);
+                lane.regs.commit(r, v, start[r as usize]);
+            }
+            if !union.is_empty() || !lane.within(taint, delay) {
+                return Err(base);
+            }
+        }
+        if !recorded.reads_counter && lane.repeats(delay) {
+            break;
+        }
+        lane.drift = recorded.counts.map(|c| c.wrapping_mul(periods as u32 + 1));
+        let (mut from_ev, mut from_op) = (0, 0);
+        for &(phase, to_ev, to_op) in &recorded.steps {
+            let at = base + phase + 1;
+            if at > deadline {
+                break;
+            }
+            let (events, ops) = (&recorded.events[from_ev..to_ev], &recorded.ops[from_op..to_op]);
+            if lane_step(&mut lane, events, ops, recorded.datapath, &mut union, 1).is_err() {
+                return Err(at);
+            }
+            (from_ev, from_op) = (to_ev, to_op);
+        }
+    }
+    Ok(())
+}
+
+impl Lane {
+    /// Whether every difference the lane holds at a period boundary
+    /// whose mux delay history is `delay` lies inside `taint`.
+    fn within(&self, taint: Taint, delay: &[u64; 6]) -> bool {
+        let mut held = Taint(u64::from(self.regs.mask));
+        for (i, latch) in self.exmem.iter().enumerate() {
+            held.set(T_EXMEM + i as u8, latch.is_some());
+        }
+        for (i, value) in self.memwb.iter().enumerate() {
+            held.set(T_MEMWB + i as u8, value.is_some());
+        }
+        held.set(T_LAST_OUT, !self.delay_repeats(delay));
+        held.0 & !taint.0 == 0
+    }
+
+    /// Whether the lane has no difference left at a period boundary
+    /// whose mux delay history is `delay` (memory differences are
+    /// refused before this is asked; only a path-delay fault reads its
+    /// mux's history back).
+    fn repeats(&self, delay: &[u64; 6]) -> bool {
+        self.regs.mask == 0
+            && self.exmem.iter().all(Option::is_none)
+            && self.memwb.iter().all(Option::is_none)
+            && self.delay_repeats(delay)
+    }
+
+    /// Whether the delay history the lane's fault reads back (only a
+    /// path-delay fault reads one) equals `delay`'s.
+    fn delay_repeats(&self, delay: &[u64; 6]) -> bool {
+        !matches!(self.fault.0, Element::MuxPathDelay { .. })
+            || delay.get(self.instance as usize) == Some(&self.last_out)
     }
 }
 
@@ -726,11 +1118,12 @@ impl<'a> Livelock<'a> {
 /// The bit-parallel campaign: packs the list into [`FaultWord`]s, rides
 /// forwarding words on one tapped golden tail, and grades everything
 /// else (fallen-off lanes, HDCU/ICU words) through the serial warm path
-/// with the livelock short-circuit. Verdicts are returned in fault-list
+/// with the loop proof. Verdicts are returned in fault-list
 /// order and are bit-identical to [`run_campaign_warm_detailed`]
 /// (pinned by the equivalence wall); each fault is graded exactly once.
 /// The telemetry reports how the list split between the ride and the
-/// fallback, and the campaign's wall-clock time.
+/// fallback, how many fallback hangs the loop proof decided and
+/// refused, and the campaign's wall-clock time.
 ///
 /// [`run_campaign_warm_detailed`]: crate::run_campaign_warm_detailed
 pub fn run_campaign_ppsfp_telemetry(
@@ -781,14 +1174,16 @@ pub fn run_campaign_ppsfp_telemetry(
     tel.fallback_faults = slots.iter().filter(|v| v.is_none()).count() as u64;
     tel.fallback_rate = tel.fallback_faults as f64 / sites.len() as f64;
 
-    let loop_hits = AtomicUsize::new(0);
+    let tally = LoopTally::default();
     let warm = WarmExperimentGrader { experiment, golden, snapshot: &snapshot };
     let fallback = |site| {
-        let mut livelock = Livelock::new(&snapshot, golden.cycles, &loop_hits);
-        warm.grade_with(site, |soc| livelock.check(soc))
+        let mut proof =
+            LoopProof::new(snapshot.soc(), golden.cycles, snapshot.budget(), site, &tally);
+        warm.grade_with(site, |soc| proof.check(soc))
     };
     let graded = grade(&fallback, sites, slots, usize::MAX, threads, &|_| {});
-    tel.loop_short_circuits = loop_hits.load(Ordering::Relaxed) as u64;
+    tel.loop_short_circuits = tally.decided.into_inner();
+    tel.loop_refusals = tally.refused.into_inner();
 
     let elapsed = start.elapsed().as_secs_f64();
     tel.total = graded.result.total as u64;
@@ -796,4 +1191,82 @@ pub fn run_campaign_ppsfp_telemetry(
     tel.faults_per_sec = if elapsed > 0.0 { tel.total as f64 / elapsed } else { 0.0 };
     tel.mix = graded.result.mix();
     (graded.result, graded.records, tel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbst_cpu::CoreConfig;
+    use sbst_isa::{Asm, Reg};
+    use sbst_soc::SocBuilder;
+
+    /// A one-core SoC counting x21 down from `n` in a loop padded with
+    /// nops (so some phase of it holds no counter value in flight),
+    /// then halting.
+    fn countdown(n: u32) -> Soc {
+        let mut a = Asm::new();
+        a.li(Reg::R21, n);
+        a.label("loop");
+        a.addi(Reg::R21, Reg::R21, -1);
+        a.nops(6);
+        a.bne(Reg::R21, Reg::R0, "loop");
+        a.halt();
+        let program = a.assemble(0x100).expect("assembles");
+        SocBuilder::new().load(&program).core(CoreConfig::cached(CoreKind::A, 0, 0x100), 0).build()
+    }
+
+    /// The cycle count after the step that executes the loop's exit
+    /// branch not taken — where the loop's pattern breaks.
+    fn exit_flip_cycle(soc: &Soc) -> u64 {
+        let mut soc = soc.clone();
+        tap(&mut soc);
+        loop {
+            soc.step();
+            let flipped = harvest(&mut soc).events.iter().any(|ev| {
+                matches!(ev, TapEvent::ExExec { instr: Some(Instr::Branch { cond, .. }), ops, .. }
+                    if !cond.eval(ops[0] as u32, ops[1] as u32))
+            });
+            if flipped {
+                return soc.cycle();
+            }
+            assert!(!soc.core(0).halted(), "the loop exits through its branch");
+        }
+    }
+
+    /// The exit decision at the budget boundary: with the exit branch's
+    /// flip one cycle after the deadline the proof decides the hang,
+    /// with the flip at or before the deadline it must refuse; in every
+    /// case the outcome is the one plain simulation returns.
+    #[test]
+    fn exit_flip_at_the_deadline_boundary_matches_plain_simulation() {
+        let soc = countdown(400);
+        let flip = exit_flip_cycle(&soc);
+        // Any site outside the forwarding unit: the SoC runs fault-free
+        // and the lane re-evaluates no mux.
+        let site = FaultSite {
+            unit: Unit::Hdcu,
+            instance: 0,
+            element: Element::StallLine { line: 0 },
+            polarity: Polarity::StuckAt0,
+        };
+        for (deadline, decided) in [(flip - 1, 1), (flip, 0), (flip + 1, 0)] {
+            let plain =
+                soc.clone().run_until(deadline, StopAt::CoreHalted(0), |_| ControlFlow::Continue(()));
+            let tally = LoopTally::default();
+            let mut proof = LoopProof::new(&soc, 0, deadline, site, &tally);
+            let accelerated =
+                soc.clone().run_until(deadline, StopAt::CoreHalted(0), |s| proof.check(s));
+            assert_eq!(accelerated, plain, "deadline {deadline}, exit flip at {flip}");
+            assert_eq!(tally.decided.into_inner(), decided, "deadline {deadline}, flip {flip}");
+            assert_eq!(tally.refused.into_inner(), 1 - decided, "deadline {deadline}, flip {flip}");
+        }
+        // Past the flip the loop exits and the core halts before a late
+        // enough deadline: the proof must not stand in the way.
+        let late = flip + 1000;
+        let plain = soc.clone().run_until(late, StopAt::CoreHalted(0), |_| ControlFlow::Continue(()));
+        assert!(plain.is_clean());
+        let tally = LoopTally::default();
+        let mut proof = LoopProof::new(&soc, 0, late, site, &tally);
+        assert_eq!(soc.clone().run_until(late, StopAt::CoreHalted(0), |s| proof.check(s)), plain);
+    }
 }

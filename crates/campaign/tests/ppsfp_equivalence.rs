@@ -233,6 +233,48 @@ fn stuck_stall_line_hang_is_short_circuited_by_the_livelock_detector() {
     assert_eq!(stats.loop_short_circuits, 1, "the livelock detector must fire");
 }
 
+/// Grades one forwarding fault of mux instance 0 (core A, cache-wrapped,
+/// 3 cores) through PPSFP; the lone lane falls off the ride, so the
+/// verdict comes from the serial fallback and its loop proof.
+fn grade_one_forwarding_fault(
+    element: Element,
+    polarity: Polarity,
+) -> (Verdict, PpsfpTelemetry, Verdict) {
+    let exp = multicore_exp(CoreKind::A, Unit::Forwarding);
+    let golden = exp.golden();
+    let site = FaultSite { unit: Unit::Forwarding, instance: 0, element, polarity };
+    let faults = FaultList::from_sites(vec![site]);
+    let (_, records, stats) = run_campaign_ppsfp_telemetry(&exp, &golden, &faults, 0);
+    let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, 0);
+    assert_eq!(records[0].0, site);
+    (records[0].1, stats, warm[0].1)
+}
+
+/// A counter runaway: the select stem stuck at 1 corrupts the wrapper's
+/// loop counter, so the loop spins with only core-0 registers changing
+/// and the state never repeats exactly. The loop proof carries the
+/// counter to the budget and decides the hang.
+#[test]
+fn counter_runaway_hang_is_decided_by_the_loop_proof() {
+    let (ppsfp, stats, warm) =
+        grade_one_forwarding_fault(Element::MuxSelStem { src: 0 }, Polarity::StuckAt1);
+    assert_eq!(warm, Verdict::Hang);
+    assert_eq!(ppsfp, Verdict::Hang);
+    assert_eq!(stats.loop_short_circuits, 1, "the loop proof must decide this hang");
+}
+
+/// A loop that is periodic modulo its counter but leaves before the
+/// budget: the exit branch flips with iterations to spare, so the proof
+/// must refuse and the run must finish with its real verdict.
+#[test]
+fn loop_that_exits_before_the_budget_is_refused() {
+    let (ppsfp, stats, warm) =
+        grade_one_forwarding_fault(Element::MuxSelBranch { src: 1, bit: 6 }, Polarity::StuckAt1);
+    assert_eq!(warm, Verdict::WrongSignature);
+    assert_eq!(ppsfp, Verdict::WrongSignature);
+    assert_eq!(stats.loop_short_circuits, 0, "no hang may be decided for a loop that exits");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -14,7 +14,7 @@
 //! HDCU stall; three-packet distance reads the freshly committed register
 //! file.
 
-use sbst_fault::FaultPlane;
+use sbst_fault::{Element, FaultPlane, FaultSite};
 use sbst_isa::{Cause, Csr, Instr, Reg};
 use sbst_mem::{Bus, CacheConfig, Tcm, DTCM_BASE, ITCM_BASE};
 
@@ -176,7 +176,7 @@ pub enum TapEvent {
     /// (`dest = None`: the entry retired without a destination).
     WbCommit {
         /// Pipe index.
-        pipe: usize,
+        pipe: u8,
         /// Destination register (base index, 64-bit pair flag).
         dest: Option<(u8, bool)>,
         /// Committed value.
@@ -186,11 +186,11 @@ pub enum TapEvent {
     /// value as it moved from EX/MEM to MEM/WB.
     WbMux {
         /// Pipe index (mux instance `wb_mux_id(pipe)`).
-        pipe: usize,
+        pipe: u8,
         /// Mux inputs: ALU result, load data, CSR read value.
         inputs: [u64; WB_SOURCES],
         /// Select code (`WB_SRC_*`).
-        sel: usize,
+        sel: u8,
         /// Fault-free mux output (the entry's writeback value).
         out: u64,
         /// The entry's data-memory operation, if any (the grader needs
@@ -201,22 +201,22 @@ pub enum TapEvent {
     /// An operand-bypass mux resolved operand `operand` of slot `slot`.
     ExOperand {
         /// Issue slot (mux instance `operand_mux_id(slot, operand)`).
-        slot: usize,
+        slot: u8,
         /// Operand index.
-        operand: usize,
+        operand: u8,
         /// Source register of the register-file input (base, 64-bit).
         rf_src: Option<(u8, bool)>,
         /// Mux inputs (indexed by the `SRC_*` constants).
         inputs: [u64; OPERAND_SOURCES],
         /// HDCU-encoded select (`None` = dead code).
-        sel: Option<usize>,
+        sel: Option<u8>,
         /// Fault-free mux output (the resolved operand).
         out: u64,
     },
     /// EX executed one instruction with the given resolved operands.
     ExExec {
         /// Issue slot.
-        slot: usize,
+        slot: u8,
         /// The instruction (`None` = undecodable word).
         instr: Option<Instr>,
         /// Its address.
@@ -332,22 +332,34 @@ impl Core {
         self.plane
     }
 
-    /// Architectural-trajectory equality for livelock detection: two
+    /// Architectural-trajectory equality for the campaign's loop proof: two
     /// cores whose `loop_state_eq` states are equal, stepped against
     /// equal bus states, evolve identically — *modulo* the deliberately
     /// excluded free-running state: the performance counters and the
     /// issue/raise sequence numbers, including the in-flight copy each
     /// `ExInEntry` carries (all monotone; only their *difference* —
     /// the imprecision depth — is architecturally visible, and a
-    /// difference is invariant across one loop period). The exclusions
-    /// are sound only when the compared trajectory never reads a
-    /// counter CSR; the campaign's loop detector verifies that
-    /// separately from the instruction tap.
+    /// difference is invariant across one loop period). The counters
+    /// are software-visible, so a trajectory that reads one does not
+    /// repeat with the state: the campaign's loop proof sees such reads
+    /// on the instruction tap and adds each period's counter advance to
+    /// the value read.
     pub fn loop_state_eq(&self, other: &Core) -> bool {
         self.regs == other.regs
+            && self.fwd.delay_state() == other.fwd.delay_state()
+            && self.loop_state_eq_modulo_regs(other)
+    }
+
+    /// [`loop_state_eq`](Core::loop_state_eq) modulo the values a loop
+    /// counter leaves behind: the register file, and the last output of
+    /// every forwarding mux the armed fault does not read back (the
+    /// network remembers each mux's last output, but only a path-delay
+    /// fault on that mux ever reads it). The rest is what a loop period
+    /// must repeat exactly while its counters run on in registers.
+    pub fn loop_state_eq_modulo_regs(&self, other: &Core) -> bool {
+        self.delay_history() == other.delay_history()
             && self.csr.loop_state_eq(&other.csr)
             && self.icu == other.icu
-            && self.fwd.delay_state() == other.fwd.delay_state()
             && ex_in_eq(&self.ex_in, &other.ex_in)
             && self.exmem == other.exmem
             && self.memwb == other.memwb
@@ -359,6 +371,17 @@ impl Core {
             && self.lsu.state_eq(&other.lsu)
             && self.itcm.state_eq(&other.itcm)
             && self.dtcm.state_eq(&other.dtcm)
+    }
+
+    /// The mux output history the armed fault reads back: the last
+    /// output of its mux, for a path-delay fault.
+    fn delay_history(&self) -> Option<u64> {
+        match self.plane.site() {
+            Some(FaultSite { element: Element::MuxPathDelay { .. }, instance, .. }) => {
+                self.fwd.delay_state().get(instance as usize).copied()
+            }
+            _ => None,
+        }
     }
 
     /// Arms a fault (call before the first step).
@@ -517,7 +540,7 @@ impl Core {
         for pipe in 0..2 {
             if let Some(e) = self.memwb[pipe].take() {
                 if let Some(t) = &mut self.tap {
-                    t.push(TapEvent::WbCommit { pipe, dest: e.dest, value: e.value });
+                    t.push(TapEvent::WbCommit { pipe: pipe as u8, dest: e.dest, value: e.value });
                 }
                 if let Some((d, is64)) = e.dest {
                     self.write_reg(d, is64, e.value);
@@ -556,9 +579,9 @@ impl Core {
                     e.value = self.fwd.wb_value(pipe, &inputs, e.wb_sel, &self.plane);
                     if let Some(t) = &mut self.tap {
                         t.push(TapEvent::WbMux {
-                            pipe,
+                            pipe: pipe as u8,
                             inputs,
-                            sel: e.wb_sel,
+                            sel: e.wb_sel as u8,
                             out: e.value,
                             mem: e.mem,
                         });
@@ -697,11 +720,11 @@ impl Core {
                 ops[operand] = self.fwd.operand(slot, operand, &inputs, sel, &self.plane);
                 if let Some(t) = &mut self.tap {
                     t.push(TapEvent::ExOperand {
-                        slot,
-                        operand,
+                        slot: slot as u8,
+                        operand: operand as u8,
                         rf_src: entry.src[operand],
                         inputs,
-                        sel,
+                        sel: sel.map(|s| s as u8),
                         out: ops[operand],
                     });
                 }
@@ -850,7 +873,7 @@ impl Core {
         }
         if let Some(t) = &mut self.tap {
             t.push(TapEvent::ExExec {
-                slot,
+                slot: slot as u8,
                 instr: entry.instr,
                 pc: entry.pc,
                 ops,

@@ -56,13 +56,13 @@ impl CsrFile {
         })
     }
 
-    /// Architectural-trajectory equality for livelock detection: scratch
+    /// Architectural-trajectory equality for the campaign's loop proof: scratch
     /// registers and trap vector only. The performance counters are
     /// deliberately excluded — they advance monotonically every cycle,
     /// so no two states of a spinning loop could ever compare equal
-    /// through them. Excluding them is sound only when the loop body
-    /// never *reads* a counter CSR; the campaign's loop detector
-    /// verifies that separately from the instruction tap.
+    /// through them. A loop body that *reads* a counter CSR sees a
+    /// different value every period; the campaign's loop proof sees
+    /// such reads on the instruction tap and accounts for them.
     pub fn loop_state_eq(&self, other: &CsrFile) -> bool {
         self.scratch == other.scratch
             && self.trap_vec == other.trap_vec

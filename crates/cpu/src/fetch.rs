@@ -265,7 +265,7 @@ impl FetchUnit {
         self.state != FetchState::Idle
     }
 
-    /// Behavioral-state equality (livelock detection): fetch pc, queued
+    /// Behavioral-state equality (the loop proof): fetch pc, queued
     /// packets, bus-transaction state and cache contents. Cache
     /// statistics are ignored; the copy-on-write cache backing makes the
     /// content comparison cheap for states cloned from one another.

@@ -70,8 +70,9 @@ impl ForwardingNetwork {
 
     /// The per-mux one-word delay history (indexed by mux instance id).
     /// Campaign lane graders seed their reconstruction of a
-    /// [`Element::MuxPathDelay`] fault's history from this, and livelock
-    /// detection includes it in state comparison.
+    /// [`Element::MuxPathDelay`] fault's history from this, and loop
+    /// state comparison includes it (the loop proof only the entry a
+    /// path-delay fault reads back).
     pub fn delay_state(&self) -> &[u64; 6] {
         &self.last_out
     }

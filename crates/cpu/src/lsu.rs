@@ -114,7 +114,7 @@ impl Lsu {
         self.current.is_none() && self.wbuf.is_empty() && self.pending == Pending::None
     }
 
-    /// Behavioral-state equality (livelock detection): write buffer,
+    /// Behavioral-state equality (the loop proof): write buffer,
     /// in-flight operation and cache contents; cache statistics are
     /// ignored.
     pub fn state_eq(&self, other: &Lsu) -> bool {

@@ -45,16 +45,17 @@ pub fn mux_out(
         return inputs[sel] & mask;
     };
 
-    // One-hot select with possible stem fault.
-    let mut onehot: Vec<bool> = (0..inputs.len()).map(|s| s == sel).collect();
+    // One-hot select (bit `s` = source `s`) with possible stem fault.
+    let mut onehot = 1u64 << sel;
     if let Element::MuxSelStem { src } = element {
-        if (src as usize) < onehot.len() {
-            onehot[src as usize] = pol.value();
+        if (src as usize) < inputs.len() {
+            onehot = onehot & !(1 << src) | u64::from(pol.value()) << src;
         }
     }
 
     let mut out = 0u64;
-    for (s, (&data, &on)) in inputs.iter().zip(&onehot).enumerate() {
+    for (s, &data) in inputs.iter().enumerate() {
+        let on = onehot >> s & 1 == 1;
         let mut data = data & mask;
         // Per-bit data-input fault.
         if let Element::MuxDataIn { src, bit } = element {

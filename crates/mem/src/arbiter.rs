@@ -123,7 +123,7 @@ pub trait Arbiter: std::fmt::Debug + Send + Sync {
     /// A signature of the arbiter's mutable state (0 for stateless
     /// policies). Two buses with equal kinds and equal signatures
     /// arbitrate identically from here on — the state-equality hook the
-    /// campaign's livelock detection compares through.
+    /// campaign's loop proof compares through.
     fn state_sig(&self) -> u64 {
         0
     }

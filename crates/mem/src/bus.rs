@@ -434,7 +434,7 @@ impl Bus {
         }
     }
 
-    /// Behavioral-state equality, for the campaign's livelock detection:
+    /// Behavioral-state equality, for the campaign's loop proof:
     /// pending/active/response latches, SRAM and Flash-row contents,
     /// watchdog configuration and arbiter state. Excluded on purpose:
     /// statistics, per-port wait counters, the observer/tap, and the

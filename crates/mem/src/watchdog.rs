@@ -60,7 +60,7 @@ impl Watchdog {
     /// Configuration equality: programmed timeout and enable only. The
     /// countdown (`remaining`) and the latched alarm are deliberately
     /// excluded — they advance monotonically every cycle, and the
-    /// campaign's livelock detection compares machine states modulo
+    /// campaign's loop proof compares machine states modulo
     /// free-running timers (it separately verifies the spinning code
     /// never reads a watchdog register, so the excluded fields cannot
     /// influence the trajectory; an earlier-than-budget bite only

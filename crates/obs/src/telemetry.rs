@@ -229,7 +229,7 @@ impl std::fmt::Display for FleetTelemetry {
 /// End-of-campaign telemetry of a bit-parallel (PPSFP) grading run:
 /// how the fault list packed into words, how much of it rode the shared
 /// golden tail versus falling back to serial grading, and how often the
-/// serial fallback's livelock short-circuit fired.
+/// serial fallback's loop proof decided a hang or refused a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PpsfpTelemetry {
     /// Faults graded.
@@ -246,8 +246,12 @@ pub struct PpsfpTelemetry {
     pub fallback_faults: u64,
     /// `fallback_faults / total` (0 for an empty campaign).
     pub fallback_rate: f64,
-    /// Fallback runs decided early by the verified-livelock detector.
+    /// Fallback hangs the loop proof decided: runs ended at their
+    /// budget without simulating the rest (exact repeats and counter
+    /// runaways alike).
     pub loop_short_circuits: u64,
+    /// Loop candidates whose proof failed (the run went on simulating).
+    pub loop_refusals: u64,
     /// Wall-clock seconds the campaign took.
     pub elapsed_secs: f64,
     /// Overall grading throughput.
@@ -268,6 +272,7 @@ impl PpsfpTelemetry {
             ("fallback_faults".into(), Json::int(self.fallback_faults)),
             ("fallback_rate".into(), Json::Num(self.fallback_rate)),
             ("loop_short_circuits".into(), Json::int(self.loop_short_circuits)),
+            ("loop_refusals".into(), Json::int(self.loop_refusals)),
             ("elapsed_secs".into(), Json::Num(self.elapsed_secs)),
             ("faults_per_sec".into(), Json::Num(self.faults_per_sec)),
             ("verdicts".into(), self.mix.to_json()),
@@ -280,7 +285,8 @@ impl std::fmt::Display for PpsfpTelemetry {
         write!(
             f,
             "{} faults in {:.2}s ({:.0} faults/sec); {} words (density {:.2}), \
-             {} ridden; fallback {:.1}% ({} faults, {} loop short-circuits); {}",
+             {} ridden; fallback {:.1}% ({} faults, {} loop short-circuits, \
+             {} loop refusals); {}",
             self.total,
             self.elapsed_secs,
             self.faults_per_sec,
@@ -290,6 +296,7 @@ impl std::fmt::Display for PpsfpTelemetry {
             100.0 * self.fallback_rate,
             self.fallback_faults,
             self.loop_short_circuits,
+            self.loop_refusals,
             self.mix,
         )
     }
@@ -372,6 +379,7 @@ mod tests {
             fallback_faults: 104,
             fallback_rate: 0.177,
             loop_short_circuits: 5,
+            loop_refusals: 2,
             elapsed_secs: 1.5,
             faults_per_sec: 391.3,
             mix: VerdictMix { wrong_signature: 457, hang: 54, undetected: 76, ..VerdictMix::default() },

@@ -360,7 +360,7 @@ impl Soc {
     }
 
     /// Whether a chaos plane (adversarial traffic injector or SEU
-    /// schedule) is attached. Campaign livelock detection refuses to
+    /// schedule) is attached. The campaign's loop proof refuses to
     /// short-circuit such SoCs: injector programs and SEU schedules are
     /// driven by the absolute cycle count, which state comparison
     /// deliberately excludes.
@@ -368,7 +368,7 @@ impl Soc {
         self.injector.is_some() || self.seu.is_some()
     }
 
-    /// Architectural-trajectory equality for livelock detection: all
+    /// Architectural-trajectory equality for the campaign's loop proof: all
     /// cores (see [`Core::loop_state_eq`]), their start delays, and the
     /// bus with every attached memory (see `Bus::state_eq`). Excluded:
     /// the absolute cycle count, statistics, the SEU log and the
@@ -387,6 +387,24 @@ impl Soc {
             && self.bus.state_eq(&other.bus)
     }
 
+    /// [`loop_state_eq`](Soc::loop_state_eq) with core 0 compared
+    /// modulo its registers (see [`Core::loop_state_eq_modulo_regs`]):
+    /// the mask of core-0 registers whose values differ (bit `r` for
+    /// register `r`) when every other compared part is equal, `None`
+    /// when anything else differs.
+    pub fn loop_state_diff(&self, other: &Soc) -> Option<u32> {
+        let rest_eq = self.cores.len() == other.cores.len()
+            && self.cores.iter().zip(&other.cores).enumerate().all(|(i, ((a, da), (b, db)))| {
+                da == db
+                    && if i == 0 { a.loop_state_eq_modulo_regs(b) } else { a.loop_state_eq(b) }
+            })
+            && self.bus.state_eq(&other.bus);
+        rest_eq.then(|| {
+            let (a, b) = (self.cores[0].0.regs(), other.cores[0].0.regs());
+            (0..32).filter(|&r| a[r] != b[r]).fold(0, |mask, r| mask | 1 << r)
+        })
+    }
+
     /// Runs until every core halts, a fatal trap occurs, the
     /// memory-mapped watchdog bites (when software armed it), or
     /// `max_cycles` elapse (the harness backstop). Both watchdog paths
@@ -398,7 +416,7 @@ impl Soc {
     }
 
     /// The simulator's one step/stop loop; [`run`](Soc::run), the
-    /// campaign's warm tail, its PPSFP ride and its livelock-checked
+    /// campaign's warm tail, its PPSFP ride and its loop-checked
     /// fallback are all this loop with a different `stop` and `hook`.
     ///
     /// Each iteration first ends the run with [`RunOutcome::Watchdog`]
